@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <string>
 
+#include "common/crc32.h"
+#include "common/rng.h"
 #include "obs/flight/flight.h"
 #include "obs/health/health.h"
 #include "runner/sinks.h"
@@ -226,6 +231,101 @@ TEST(CosTrialFlight, DisabledPredicatesSuppressTheirTriggers) {
   EXPECT_FALSE(rec.triggered());
 }
 #endif  // SILENCE_OBS_ON
+
+// --- Figure-path golden digests ------------------------------------------
+//
+// Pins the exact bytes of the path every figure sweep runs: run_cos_trial
+// (TX, fading channel, front end, detection, interval decode, EVD data
+// decode) over rates x measured SNR x seeds, plus the raw IEEE-754 bytes
+// of the same packets' front-end FFT bins and of one cos_transmit burst
+// per rate. 600-octet PSDUs put 23 to 201 data symbols in each burst, so
+// full and ragged FFT/IFFT tiles both occur. The digests must not move
+// under any refactor of the PHY chain; ROADMAP item 3's planned
+// re-baseline (owned RNG distributions) will update them.
+
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(const std::string& s) { add(s.data(), s.size()); }
+  std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+  }
+};
+
+CosTrialSpec golden_spec(int rate, double snr_db) {
+  CosTrialSpec spec;
+  spec.mcs = McsId::for_rate(rate);
+  spec.measured_snr_db = snr_db;
+  spec.psdu_octets = 600;
+  spec.control_bits = 40;
+  return spec;
+}
+
+TEST(FigurePathGolden, RunCosTrialDigestsArePinned) {
+  struct Point {
+    int rate;
+    double snr_db;
+    const char* digest;
+  };
+  const Point points[] = {
+      {6, 6.0, "f3f0de881698f030"},
+      {6, 16.0, "349fc39f75174d3d"},
+      {6, 26.0, "3dc4c94731764fa2"},
+      {24, 6.0, "828167e073fb136f"},
+      {24, 16.0, "14434dab7a14e4fb"},
+      {24, 26.0, "422e0da6838d10ab"},
+      {54, 6.0, "ec5cd96737c7e8ee"},
+      {54, 16.0, "aba012f0b1505f7d"},
+      {54, 26.0, "1a5c0f0260c3072d"},
+  };
+  for (const Point& p : points) {
+    Fnv1a digest;
+    for (const std::uint64_t seed : {1001ULL, 2002ULL}) {
+      const CosTrialSpec spec = golden_spec(p.rate, p.snr_db);
+      const CosTrialResult r = run_cos_trial(spec, TrialLabel{}, seed);
+      digest.add(r.summary().dump_compact());
+      digest.add(r.psdu.data(), r.psdu.size());
+      for (const auto& row : r.detected_mask) {
+        digest.add(row.data(), row.size());
+      }
+      digest.add(r.control_recovered.data(), r.control_recovered.size());
+      const FrontEndResult fe = simulate_cos_packet(spec, seed).fe;
+      const auto bins = fe.data_bins.cells();
+      digest.add(bins.data(), bins.size() * sizeof(Cx));
+      digest.add(&fe.noise_var, sizeof fe.noise_var);
+    }
+    EXPECT_EQ(digest.hex(), p.digest)
+        << "rate " << p.rate << " snr " << p.snr_db;
+  }
+}
+
+TEST(FigurePathGolden, CosTransmitSampleBytesArePinned) {
+  const std::pair<int, const char*> expected[] = {
+      {6, "15ca432f6863e4c4"},
+      {24, "e07708d945bfad14"},
+      {54, "701e6e8b81985ec2"},
+  };
+  for (const auto& [rate, want] : expected) {
+    Rng rng(static_cast<std::uint64_t>(rate));
+    Bytes psdu = rng.bytes(596);
+    append_fcs(psdu);
+    const Bits control = rng.bits(40);
+    const CosTxPacket tx = cos_transmit(
+        psdu, control, CosTxConfig(CosProfile{}, McsId::for_rate(rate)));
+    Fnv1a digest;
+    digest.add(tx.samples.data(), tx.samples.size() * sizeof(Cx));
+    EXPECT_EQ(digest.hex(), want) << "rate " << rate;
+  }
+}
 
 }  // namespace
 }  // namespace silence
