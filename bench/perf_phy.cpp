@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "core/cos_link.h"
 #include "obs/obs.h"
-#include "phy/batch.h"
 #include "phy/convolutional.h"
 #include "phy/receiver.h"
 #include "phy/transmitter.h"
@@ -30,8 +29,7 @@
 namespace silence {
 namespace {
 
-// Items conventions (so batch/scalar items_per_second ratios read as
-// speedups directly): chain-level benches count PSDU bytes, kernel-level
+// Items conventions: chain-level benches count PSDU bytes, kernel-level
 // benches count samples or bits.
 constexpr std::size_t kBenchPsduBytes = 1024;
 
@@ -109,19 +107,6 @@ void BM_TransmitChain(benchmark::State& state) {
 }
 BENCHMARK(BM_TransmitChain);
 
-void BM_TransmitChainBatch(benchmark::State& state) {
-  const Bytes psdu = bench_psdu(kBenchPsduBytes);
-  const Mcs& mcs = mcs_for_rate(24);
-  PhyBatch batch;
-  for (auto _ : state) {
-    const TxFrame frame = build_frame(psdu, mcs);
-    benchmark::DoNotOptimize(frame_to_samples_batch(frame, batch));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(kBenchPsduBytes));
-}
-BENCHMARK(BM_TransmitChainBatch);
-
 void BM_ReceiveChain(benchmark::State& state) {
   const Bytes psdu = bench_psdu(kBenchPsduBytes);
   const Mcs& mcs = mcs_for_rate(24);
@@ -133,25 +118,6 @@ void BM_ReceiveChain(benchmark::State& state) {
                           static_cast<long>(kBenchPsduBytes));
 }
 BENCHMARK(BM_ReceiveChain);
-
-// B bursts per pass through the batched engine: items = B x PSDU bytes,
-// so items_per_second here over BM_ReceiveChain's is the batch speedup.
-void BM_ReceiveChainBatch(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  const Bytes psdu = bench_psdu(kBenchPsduBytes);
-  const Mcs& mcs = mcs_for_rate(24);
-  const CxVec samples = frame_to_samples(build_frame(psdu, mcs));
-  const std::vector<std::span<const Cx>> bursts(width, std::span(samples));
-  std::vector<RxPacket> out(width);
-  PhyBatch batch;
-  for (auto _ : state) {
-    receive_packet_batch(bursts, batch, out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(width * kBenchPsduBytes));
-}
-BENCHMARK(BM_ReceiveChainBatch)->Arg(1)->Arg(8)->Arg(32);
 
 void BM_CosTransmit(benchmark::State& state) {
   const Bytes psdu = bench_psdu(kBenchPsduBytes);
@@ -167,22 +133,6 @@ void BM_CosTransmit(benchmark::State& state) {
                           static_cast<long>(kBenchPsduBytes));
 }
 BENCHMARK(BM_CosTransmit);
-
-void BM_CosTransmitBatch(benchmark::State& state) {
-  const Bytes psdu = bench_psdu(kBenchPsduBytes);
-  Rng rng(4);
-  const Bits control = rng.bits(96);
-  CosTxConfig config;
-  config.mcs = McsId::for_rate(24);
-  config.control_subcarriers = {10, 11, 12, 13, 14, 15, 16, 17};
-  PhyBatch batch;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cos_transmit(psdu, control, config, batch));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(kBenchPsduBytes));
-}
-BENCHMARK(BM_CosTransmitBatch);
 
 void BM_CosReceive(benchmark::State& state) {
   const Bytes psdu = bench_psdu(kBenchPsduBytes);
@@ -202,28 +152,6 @@ void BM_CosReceive(benchmark::State& state) {
 }
 BENCHMARK(BM_CosReceive);
 
-void BM_CosReceiveBatch(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  const Bytes psdu = bench_psdu(kBenchPsduBytes);
-  Rng rng(5);
-  const Bits control = rng.bits(96);
-  CosTxConfig tx_config;
-  tx_config.mcs = McsId::for_rate(24);
-  tx_config.control_subcarriers = {10, 11, 12, 13, 14, 15, 16, 17};
-  const CosTxPacket tx = cos_transmit(psdu, control, tx_config);
-  CosRxConfig rx_config;
-  rx_config.control_subcarriers = tx_config.control_subcarriers;
-  const std::vector<std::span<const Cx>> bursts(width, std::span(tx.samples));
-  PhyBatch batch;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cos_receive_batch(bursts, rx_config, std::nullopt, batch));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(width * kBenchPsduBytes));
-}
-BENCHMARK(BM_CosReceiveBatch)->Arg(8);
-
 void BM_FadingChannelTransmit(benchmark::State& state) {
   const Bytes psdu = bench_psdu(kBenchPsduBytes);
   const CxVec samples = frame_to_samples(build_frame(psdu, mcs_for_rate(24)));
@@ -238,33 +166,6 @@ void BM_FadingChannelTransmit(benchmark::State& state) {
                           static_cast<long>(samples.size()));
 }
 BENCHMARK(BM_FadingChannelTransmit);
-
-// Lane-batched fixed-point Viterbi vs the scalar kernel it extends:
-// 8 identical-length lanes decoded lockstep.
-void BM_ViterbiDecodeFixedBatch(benchmark::State& state) {
-  const auto bits = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  Bits info = rng.bits(bits);
-  info.insert(info.end(), 6, 0);
-  const Bits coded = convolutional_encode(info);
-  std::vector<double> llrs(coded.size());
-  for (std::size_t i = 0; i < coded.size(); ++i) {
-    llrs[i] = coded[i] ? -4.0 : 4.0;
-  }
-  const ViterbiDecoder decoder;
-  ViterbiBatchWorkspace ws;
-  const std::vector<std::span<const double>> lanes(
-      ViterbiDecoder::kBatchLanes, std::span<const double>(llrs));
-  std::vector<Bits> out(lanes.size());
-  decoder.decode_fixed_batch(lanes, true, ws, out);  // warm the workspace
-  for (auto _ : state) {
-    decoder.decode_fixed_batch(lanes, true, ws, out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(bits * lanes.size()));
-}
-BENCHMARK(BM_ViterbiDecodeFixedBatch)->Arg(1024)->Arg(8214);
 
 // Console output as usual, plus a structured record of every run for the
 // perf-baseline file.

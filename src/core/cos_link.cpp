@@ -10,14 +10,17 @@
 #include "phy/modulation.h"
 
 namespace silence {
-namespace {
 
-// Shared TX body: frame build + silence planning, everything except the
-// final sample synthesis (which is where the scalar and batched paths
-// diverge).
-CosTxPacket build_cos_frame(std::span<const std::uint8_t> psdu,
-                            std::span<const std::uint8_t> control_bits,
-                            const CosTxConfig& config) {
+CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
+                         std::span<const std::uint8_t> control_bits,
+                         const CosTxConfig& config) {
+  return cos_transmit(psdu, control_bits, config, default_phy_workspace());
+}
+
+CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
+                         std::span<const std::uint8_t> control_bits,
+                         const CosTxConfig& config, PhyWorkspace& ws) {
+  OBS_SPAN("cos.tx");
   if (!config.mcs.valid()) {
     throw std::invalid_argument("cos_transmit: no MCS configured");
   }
@@ -32,26 +35,7 @@ CosTxPacket build_cos_frame(std::span<const std::uint8_t> psdu,
   } else {
     packet.plan.mask = empty_mask(packet.frame.num_symbols());
   }
-  return packet;
-}
-
-}  // namespace
-
-CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
-                         std::span<const std::uint8_t> control_bits,
-                         const CosTxConfig& config) {
-  OBS_SPAN("cos.tx");
-  CosTxPacket packet = build_cos_frame(psdu, control_bits, config);
-  packet.samples = frame_to_samples(packet.frame);
-  return packet;
-}
-
-CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
-                         std::span<const std::uint8_t> control_bits,
-                         const CosTxConfig& config, PhyBatch& batch) {
-  OBS_SPAN("cos.tx");
-  CosTxPacket packet = build_cos_frame(psdu, control_bits, config);
-  packet.samples = frame_to_samples_batch(packet.frame, batch);
+  packet.samples = frame_to_samples(packet.frame, ws);
   return packet;
 }
 
@@ -183,59 +167,6 @@ CosRxPacket cos_receive(std::span<const Cx> samples,
                           &packet.detected_mask, ws);
   analyze_decoded_packet(packet, config, next_mod);
   return packet;
-}
-
-CosRxPacket cos_receive(std::span<const Cx> samples,
-                        const CosRxConfig& config,
-                        std::optional<Modulation> next_mod, PhyBatch& batch) {
-  OBS_SPAN("cos.rx");
-  OBS_COUNT("cos.rx.packets");
-  CosRxPacket packet;
-  packet.fe = receiver_front_end_batch(samples, batch);
-  if (!packet.fe.signal) return packet;
-  const Mcs& mcs = *packet.fe.signal->mcs;
-
-  detect_control_message(packet, config);
-  packet.decode = decode_data_symbols_batch(
-      packet.fe, mcs, packet.fe.signal->length_octets, &packet.detected_mask,
-      batch);
-  analyze_decoded_packet(packet, config, next_mod);
-  return packet;
-}
-
-std::vector<CosRxPacket> cos_receive_batch(
-    std::span<const std::span<const Cx>> bursts, const CosRxConfig& config,
-    std::optional<Modulation> next_mod, PhyBatch& batch) {
-  std::vector<CosRxPacket> out(bursts.size());
-  if (bursts.empty()) return out;
-  OBS_SPAN("cos.rx");
-
-  // Phase 1: front end + silence detection per burst. The front-end
-  // results must be stable before the grouped decode takes lane views,
-  // and `out` is preallocated, so the pointers below don't move.
-  std::vector<DecodeLane> lanes(bursts.size());
-  for (std::size_t i = 0; i < bursts.size(); ++i) {
-    OBS_COUNT("cos.rx.packets");
-    out[i].fe = receiver_front_end_batch(bursts[i], batch);
-    if (!out[i].fe.signal) continue;
-    detect_control_message(out[i], config);
-    lanes[i].fe = &out[i].fe;
-    lanes[i].mcs = &*out[i].fe.signal->mcs;
-    lanes[i].length_octets = out[i].fe.signal->length_octets;
-    lanes[i].silence = &out[i].detected_mask;
-  }
-
-  // Phase 2: grouped data decode, Viterbi lane-batched across packets.
-  std::vector<DecodeResult> decodes(bursts.size());
-  decode_data_symbols_batch(lanes, batch, decodes);
-
-  // Phase 3: per-packet CRC/EVM/selection analysis.
-  for (std::size_t i = 0; i < bursts.size(); ++i) {
-    if (!out[i].fe.signal) continue;
-    out[i].decode = std::move(decodes[i]);
-    analyze_decoded_packet(out[i], config, next_mod);
-  }
-  return out;
 }
 
 }  // namespace silence

@@ -28,7 +28,6 @@
 #include "core/interval_code.h"
 #include "core/silence_plan.h"
 #include "core/subcarrier_selection.h"
-#include "phy/batch.h"
 #include "phy/receiver.h"
 #include "phy/transmitter.h"
 
@@ -56,15 +55,14 @@ struct CosTxPacket {
 
 // Builds and modulates a data packet with `control_bits` embedded as
 // silence intervals. The control message is truncated to what fits the
-// control grid; `plan.bits_sent` reports the conveyed prefix.
+// control grid; `plan.bits_sent` reports the conveyed prefix. The
+// workspace-taking overload runs the data IFFTs in `ws`'s tile.
 CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
                          std::span<const std::uint8_t> control_bits,
                          const CosTxConfig& config);
-// Batched-engine variant: identical frame/plan/samples, with the data
-// symbols modulated through the tiled IFFT kernel.
 CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
                          std::span<const std::uint8_t> control_bits,
-                         const CosTxConfig& config, PhyBatch& batch);
+                         const CosTxConfig& config, PhyWorkspace& ws);
 
 struct CosRxPacket {
   // PHY results.
@@ -91,20 +89,6 @@ CosRxPacket cos_receive(std::span<const Cx> samples,
 CosRxPacket cos_receive(std::span<const Cx> samples,
                         const CosRxConfig& config,
                         std::optional<Modulation> next_mod, PhyWorkspace& ws);
-// Batched-engine variant: bit-identical CosRxPacket (front end through
-// the tiled FFTs, decode through the batch facade).
-CosRxPacket cos_receive(std::span<const Cx> samples,
-                        const CosRxConfig& config,
-                        std::optional<Modulation> next_mod, PhyBatch& batch);
-
-// Receives many independent CoS bursts sharing one config, grouped so
-// the Viterbi runs lane-batched across packets. Each packet's bytes are
-// identical to cos_receive on that burst alone; observability events
-// interleave by phase rather than by packet (counter totals match).
-std::vector<CosRxPacket> cos_receive_batch(
-    std::span<const std::span<const Cx>> bursts, const CosRxConfig& config,
-    std::optional<Modulation> next_mod, PhyBatch& batch);
-
 // Reconstructs the transmitted constellation grid from a successfully
 // decoded packet (re-mapping decoded bits through the transmit chain),
 // for EVM computation. Requires decode.crc_ok.

@@ -37,8 +37,9 @@ class FftPlan {
     for (Cx& x : data) x *= scale;
   }
 
-  // Table access for external kernels (the batched SoA engine) that must
-  // replay the exact butterfly sequence on their own storage layout.
+  // Table access for external kernels (the row-tiled FFTs in phy/batch.h)
+  // that must replay the exact butterfly sequence on their own storage
+  // layout.
   // Stage-major layout: the stage with butterfly span `len` stores its
   // len/2 factors at offset len/2 - 1.
   std::span<const Cx> forward_twiddles() const { return twiddle_fwd_; }

@@ -170,7 +170,7 @@ class NetSim {
   void pregenerate_arrivals(std::uint64_t seed);
 
   Scenario scenario_;
-  std::unique_ptr<PhyBatch> phy_batch_;
+  std::unique_ptr<PhyWorkspace> phy_workspace_;
   std::vector<std::unique_ptr<Station>> stations_;
   std::vector<int> station_bss_;
   std::vector<BssState> bss_;

@@ -1,128 +1,41 @@
-// Batched structure-of-arrays PHY engine.
+// Row-tiled 64-point FFT/IFFT kernels for the data and trailer symbols.
 //
-// The scalar chain (receiver.cpp / transmitter.cpp) processes one OFDM
-// symbol at a time through cache-cold array-of-structures buffers. This
-// engine keeps the same arithmetic — every kernel replays the exact
-// floating-point operation sequence of its scalar counterpart — but
-// restructures the *storage* so the hot loops vectorize:
+// The receiver's data/trailer FFT loop and the transmitter's data IFFT
+// loop run through these instead of one FftPlan call per symbol. A tile
+// (FftRowTile, phy/workspace.h) holds up to FftRowTile::kRows symbols as
+// split re/im planes, bin-major and row-minor, so each butterfly is a
+// contiguous kRows-wide vector operation sharing one twiddle load.
 //
-//  - FFT/IFFT run on row tiles: up to kRowTile symbols of one lane laid
-//    out as split re/im planes, bin-major and row-minor, so each
-//    butterfly is a contiguous kRowTile-wide vector operation sharing
-//    one twiddle load. The butterflies replay FftPlan's tables and the
-//    textbook complex-multiply formula that libstdc++ inlines, so every
-//    row is bit-identical to fft_plan(64) on that symbol alone.
-//  - The fixed-point Viterbi decodes up to ViterbiDecoder::kBatchLanes
-//    packets in lockstep, vectorizing the 32 trellis butterflies across
-//    lanes (see ViterbiDecoder::decode_fixed_batch for the contract).
-//  - Descrambling XORs a cached 127-bit period instead of stepping the
-//    LFSR bit by bit.
-//
-// Stages whose scalar form is serialized through libm or libgcc calls
-// (CFO correction's per-sample sincos, the equalizer's __divdc3 complex
-// division) stay scalar: a vectorized variant could not be bit-identical,
-// and the determinism contract is absolute. See docs/ARCHITECTURE.md.
-//
-// Determinism contract: at any batch width, including B=1, every result
-// byte (PSDU, CRC verdict, equalized points, LLR-derived bits, recovered
-// seed) is identical to the scalar chain's, and the B=1 facades also
-// emit the same observability side effects (flight events, counters) in
-// the same order. The committed figure JSONs and the flight replay
-// corpus are the oracle.
+// Exactness: the butterflies replay FftPlan's bit-reversal swaps, stage
+// order and twiddle tables, and the textbook complex multiply
+// (r = ac - bd, i = ad + bc) libstdc++ inlines, so every row is
+// bit-identical to fft_plan(64) run on that symbol alone. The preamble
+// and SIGNAL symbols still go through FftPlan, which is why the build
+// disables FMA contraction (top-level CMakeLists.txt).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "dsp/fft.h"
-#include "phy/params.h"
-#include "phy/receiver.h"
-#include "phy/transmitter.h"
-#include "phy/viterbi.h"
 #include "phy/workspace.h"
 
 namespace silence {
 
-// Reusable batch workspace: per-lane scalar workspaces plus the shared
-// SoA tile planes. Buffers grow to the largest packet/batch seen and are
-// reused, so steady-state batched processing performs no heap allocation
-// (first use of a lane warms its buffers, like PhyWorkspace).
-struct PhyBatch {
-  // Maximum packets per sweep (matches the Viterbi's register width).
-  static constexpr std::size_t kMaxLanes = ViterbiDecoder::kBatchLanes;
-  // Symbols per FFT/IFFT tile: 16 rows x 64 bins of split doubles is
-  // 16 KiB, small enough to stay L1-resident through all six stages.
-  static constexpr std::size_t kRowTile = 16;
+// Copies 64 values into row `row` of the tile.
+void load_tile_row(FftRowTile& tile, std::size_t row,
+                   std::span<const Cx> values);
+// Copies row `row` of the tile into `out` (64 values).
+void store_tile_row(const FftRowTile& tile, std::size_t row,
+                    std::span<Cx> out);
 
-  // Split-complex tile planes, bin-major / row-minor:
-  // tile_re[bin * kRowTile + row].
-  alignas(32) std::array<double, kFftSize * kRowTile> tile_re{};
-  alignas(32) std::array<double, kFftSize * kRowTile> tile_im{};
+// In-place forward FFT of rows [0, rows); rows from `rows` on are zeroed.
+void fft_tile_rows(FftRowTile& tile, std::size_t rows);
+// In-place inverse FFT with FftPlan::inverse's 1/64 scaling, same rows.
+void ifft_tile_rows(FftRowTile& tile, std::size_t rows);
 
-  // Per-lane scalar scratch (LLRs, survivors, corrected samples, ...).
-  std::array<PhyWorkspace, kMaxLanes> lane_ws;
-  // Per-lane front-end/decode state for the multi-lane entry points.
-  std::array<FrontEndResult, kMaxLanes> lane_fe;
-  std::array<DecodeResult, kMaxLanes> lane_decode;
-  // Per-lane demap erasure counts (phase handoff inside multi-lane decode).
-  std::array<std::size_t, kMaxLanes> lane_erased{};
-
-  // Lane-batched Viterbi scratch.
-  ViterbiBatchWorkspace viterbi;
-  // Scratch holding per-lane mother-code spans and decoded outputs for
-  // decode_fixed_batch (the outputs must be contiguous Bits objects).
-  std::vector<std::span<const double>> llr_spans;
-  std::array<Bits, kMaxLanes> viterbi_out;
-};
-
-// Process-wide engine switch consulted by the network/session layer
-// (CLI `--no-phy-batch` clears it so CI can A/B the two paths). Defaults
-// to enabled. The batched entry points themselves always run batched;
-// the switch only controls whether call sites pick them.
-bool phy_batch_enabled();
-void set_phy_batch_enabled(bool on);
-
-// --- Single-lane (B=1) facades -------------------------------------------
-// Bit-identical results and observability side effects to the scalar
-// functions of the same name, with tiled FFTs inside one packet and the
-// cached-period descrambler.
-
-FrontEndResult receiver_front_end_batch(std::span<const Cx> samples,
-                                        PhyBatch& batch);
-DecodeResult decode_data_symbols_batch(const FrontEndResult& fe,
-                                       const Mcs& mcs, int length_octets,
-                                       const SilenceMask* silence,
-                                       PhyBatch& batch);
-RxPacket receive_packet_batch(std::span<const Cx> samples, PhyBatch& batch);
-
-// Tiled-IFFT transmit assembly (preamble + SIGNAL stay scalar; the data
-// symbols run through the IFFT tile kernel).
-CxVec frame_to_samples_batch(const TxFrame& frame, PhyBatch& batch);
-
-// --- Multi-lane facades ---------------------------------------------------
-// Each lane's result is bit-identical to the scalar chain run on that
-// burst alone; lanes are processed in groups of up to kMaxLanes with the
-// Viterbi vectorized across the group. Observability events interleave
-// by phase rather than by packet (counter totals still match).
-
-void receive_packet_batch(std::span<const std::span<const Cx>> bursts,
-                          PhyBatch& batch, std::span<RxPacket> out);
-
-// One decode lane: a front end that already parsed SIGNAL plus the decode
-// parameters. `fe` may be null to skip the lane (its result is cleared).
-struct DecodeLane {
-  const FrontEndResult* fe = nullptr;
-  const Mcs* mcs = nullptr;
-  int length_octets = 0;
-  const SilenceMask* silence = nullptr;
-};
-
-// Multi-lane data decode (used by the CoS receive facade, which needs
-// per-lane silence masks): out[i] is bit-identical to
-// decode_data_symbols(lanes[i]...) for every lane.
-void decode_data_symbols_batch(std::span<const DecodeLane> lanes,
-                               PhyBatch& batch, std::span<DecodeResult> out);
+// Older name of the PHY workspace, kept for external call sites that
+// still construct a `PhyBatch` and hand it to net::Station.
+using PhyBatch = PhyWorkspace;
 
 }  // namespace silence

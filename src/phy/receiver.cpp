@@ -1,5 +1,6 @@
 #include "phy/receiver.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,6 +8,7 @@
 #include "obs/flight/flight.h"
 #include "obs/health/health.h"
 #include "obs/obs.h"
+#include "phy/batch.h"
 #include "phy/convolutional.h"
 #include "phy/interleaver.h"
 #include "phy/modulation.h"
@@ -30,8 +32,28 @@ const ViterbiDecoder& shared_decoder() {
   return decoder;
 }
 
-}  // namespace
+// FFTs `count` consecutive symbols starting at sample `offset` (CP
+// stripped) a tile at a time, appending one 64-bin row per symbol.
+void fft_symbols_append(std::span<const Cx> samples, std::size_t offset,
+                        std::size_t count, FftRowTile& tile,
+                        SymbolGrid& grid) {
+  constexpr auto kSym = static_cast<std::size_t>(kSymbolSamples);
+  for (std::size_t s0 = 0; s0 < count; s0 += FftRowTile::kRows) {
+    const std::size_t rows = std::min(FftRowTile::kRows, count - s0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      load_tile_row(tile, r,
+                    samples.subspan(offset + (s0 + r) * kSym + kCpLength,
+                                    static_cast<std::size_t>(kFftSize)));
+    }
+    fft_tile_rows(tile, rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      store_tile_row(tile, r, grid.append());
+    }
+  }
+}
 
+// Decodes the SIGNAL symbol from its raw (unequalized) 64-bin FFT output
+// using the LTF channel estimate.
 std::optional<SignalField> decode_signal_symbol(
     std::span<const Cx> signal_bins, const std::array<Cx, kFftSize>& channel,
     double noise_var, PhyWorkspace& ws) {
@@ -52,6 +74,8 @@ std::optional<SignalField> decode_signal_symbol(
                           ws.scrambled);
   return parse_signal_bits(std::span(ws.scrambled).first(24));
 }
+
+}  // namespace
 
 void equalize_data_points_into(std::span<const Cx> bins64,
                                const std::array<Cx, kFftSize>& channel,
@@ -145,13 +169,14 @@ FrontEndResult receiver_front_end(std::span<const Cx> raw_samples,
   {
     OBS_SPAN("phy.rx.fft");
     fe.data_bins.reserve(static_cast<std::size_t>(n_sym));
+    fft_symbols_append(samples,
+                       static_cast<std::size_t>(kPreambleSamples +
+                                                kSymbolSamples),
+                       static_cast<std::size_t>(n_sym), ws.tile,
+                       fe.data_bins);
     for (int s = 0; s < n_sym; ++s) {
-      const auto offset = static_cast<std::size_t>(kPreambleSamples) +
-                          static_cast<std::size_t>(kSymbolSamples) *
-                              static_cast<std::size_t>(1 + s);
-      const auto bins = fe.data_bins.append();
-      time_to_bins_into(samples.subspan(offset, kSymbolSamples), bins);
-      noise_sum += pilot_noise_estimate(bins, fe.channel, s + 1);
+      noise_sum += pilot_noise_estimate(
+          fe.data_bins[static_cast<std::size_t>(s)], fe.channel, s + 1);
       ++noise_count;
     }
     OBS_COUNT_N("phy.rx.fft.items",
@@ -193,12 +218,7 @@ FrontEndResult receiver_front_end(std::span<const Cx> raw_samples,
           : (samples.size() - needed) /
                 static_cast<std::size_t>(kSymbolSamples);
   fe.trailer_bins.reserve(n_trailer);
-  for (std::size_t s = 0; s < n_trailer; ++s) {
-    const auto offset =
-        needed + s * static_cast<std::size_t>(kSymbolSamples);
-    time_to_bins_into(samples.subspan(offset, kSymbolSamples),
-                      fe.trailer_bins.append());
-  }
+  fft_symbols_append(samples, needed, n_trailer, ws.tile, fe.trailer_bins);
   return fe;
 }
 
@@ -345,17 +365,17 @@ DecodeResult decode_data_symbols(const FrontEndResult& fe, const Mcs& mcs,
   } catch (const std::runtime_error&) {
     return result;  // hopelessly corrupt
   }
-  Scrambler descrambler(seed);
   result.scrambler_seed = seed;
   {
     OBS_SPAN("phy.rx.descramble");
-    result.info_bits = descrambler.apply(scrambled);
+    Scrambler::apply_with_seed_into(seed, scrambled, result.info_bits);
   }
 
   const std::size_t psdu_bits = 8 * static_cast<std::size_t>(length_octets);
   if (result.info_bits.size() < kServiceBits + psdu_bits) return result;
-  result.psdu = bits_to_bytes(
-      std::span(result.info_bits).subspan(kServiceBits, psdu_bits));
+  bits_to_bytes_into(
+      std::span(result.info_bits).subspan(kServiceBits, psdu_bits),
+      result.psdu);
   result.crc_ok = check_fcs(result.psdu);
   FLIGHT_EVENT("rx.crc", obs::flight::kNoIndex, obs::flight::kNoIndex,
                result.psdu.size(), 0.0, result.crc_ok ? 1 : 0);

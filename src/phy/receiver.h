@@ -1,5 +1,6 @@
 // 802.11a receive chain, split into a front end (channel/noise estimation,
-// SIGNAL decode, per-symbol FFT) and a data decoder, so that the CoS
+// SIGNAL decode, data-symbol FFTs through the row-tiled kernels of
+// phy/batch.h) and a data decoder, so that the CoS
 // energy detector can inspect raw frequency bins and mark silence symbols
 // between the two stages.
 //
@@ -86,13 +87,6 @@ RxPacket receive_packet(std::span<const Cx> samples, PhyWorkspace& ws);
 // Like receive_packet(), but the frame may start anywhere in `samples`
 // (preceded by noise/idle): runs STF/LTF timing acquisition first.
 RxPacket receive_packet_unaligned(std::span<const Cx> samples);
-
-// Decodes the SIGNAL symbol from its raw (unequalized) 64-bin FFT output
-// using the LTF channel estimate. Shared by the scalar and batched front
-// ends (phy/batch.h).
-std::optional<SignalField> decode_signal_symbol(
-    std::span<const Cx> signal_bins, const std::array<Cx, kFftSize>& channel,
-    double noise_var, PhyWorkspace& ws);
 
 // Equalizes one raw 64-bin symbol to the 48 logical data points.
 // Bins with a near-zero channel estimate equalize to 0.

@@ -1,9 +1,11 @@
 #include "phy/transmitter.h"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
 #include "obs/obs.h"
+#include "phy/batch.h"
 #include "phy/convolutional.h"
 #include "phy/interleaver.h"
 #include "phy/modulation.h"
@@ -91,6 +93,10 @@ TxFrame build_frame(std::span<const std::uint8_t> psdu, const Mcs& mcs,
   return frame;
 }
 
+namespace {
+
+// Allocates the full burst and writes the preamble and SIGNAL symbol; the
+// data-symbol region is zero.
 CxVec frame_samples_prefix(const TxFrame& frame) {
   if (!frame.mcs.valid()) {
     throw std::invalid_argument("frame_to_samples: empty frame");
@@ -119,27 +125,45 @@ CxVec frame_samples_prefix(const TxFrame& frame) {
   return samples;
 }
 
+}  // namespace
+
 CxVec frame_to_samples(const TxFrame& frame) {
+  return frame_to_samples(frame, default_phy_workspace());
+}
+
+CxVec frame_to_samples(const TxFrame& frame, PhyWorkspace& ws) {
   CxVec samples = frame_samples_prefix(frame);
   const std::span<Cx> out(samples);
+  const auto n_sym = static_cast<std::size_t>(frame.num_symbols());
 
-  // Data symbols: pilot indices 1..n, written straight into the output
-  // burst (the IFFT runs in place on the destination span).
+  // Data symbols: pilot indices 1..n, a tile of symbols per IFFT pass,
+  // each body written into the burst followed by its cyclic prefix (the
+  // body's last 16 samples, as bins_to_time_into does).
   std::array<Cx, kFftSize> bins;
   {
     OBS_SPAN("phy.tx.ifft");
-    for (int s = 0; s < frame.num_symbols(); ++s) {
-      assemble_frequency_bins_into(
-          frame.data_grid[static_cast<std::size_t>(s)], s + 1, bins);
-      const auto offset = static_cast<std::size_t>(kPreambleSamples) +
-                          static_cast<std::size_t>(kSymbolSamples) *
-                              static_cast<std::size_t>(1 + s);
-      bins_to_time_into(bins, out.subspan(offset, kSymbolSamples));
+    for (std::size_t s0 = 0; s0 < n_sym; s0 += FftRowTile::kRows) {
+      const std::size_t rows = std::min(FftRowTile::kRows, n_sym - s0);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t s = s0 + r;
+        assemble_frequency_bins_into(frame.data_grid[s],
+                                     static_cast<int>(s) + 1, bins);
+        load_tile_row(ws.tile, r, bins);
+      }
+      ifft_tile_rows(ws.tile, rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const auto symbol = out.subspan(
+            static_cast<std::size_t>(kPreambleSamples) +
+                static_cast<std::size_t>(kSymbolSamples) * (1 + s0 + r),
+            kSymbolSamples);
+        const auto body = symbol.subspan(kCpLength);
+        store_tile_row(ws.tile, r, body);
+        std::copy(body.end() - kCpLength, body.end(), symbol.begin());
+      }
     }
   }
   OBS_COUNT_N("phy.tx.ifft.items",
-              static_cast<std::size_t>(frame.num_symbols()) *
-                  static_cast<std::size_t>(kSymbolSamples));
+              n_sym * static_cast<std::size_t>(kSymbolSamples));
   OBS_COUNT_N("phy.tx.samples", samples.size());
   return samples;
 }

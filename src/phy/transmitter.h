@@ -15,6 +15,7 @@
 #include "dsp/fft.h"
 #include "phy/params.h"
 #include "phy/symbol_grid.h"
+#include "phy/workspace.h"
 
 namespace silence {
 
@@ -42,12 +43,10 @@ TxFrame build_frame(std::span<const std::uint8_t> psdu, const Mcs& mcs,
                     std::uint8_t scrambler_seed = 0x5D);
 
 // Full burst: 320 preamble samples, 80 SIGNAL samples, 80 per data symbol.
+// The data symbols run through the row-tiled IFFT (phy/batch.h) in the
+// workspace's tile; the overload without one uses default_phy_workspace().
 CxVec frame_to_samples(const TxFrame& frame);
-
-// Allocates the full burst and writes the preamble and SIGNAL symbol;
-// the data-symbol region is zero. Shared by the scalar and batched
-// (phy/batch.h) sample assembly.
-CxVec frame_samples_prefix(const TxFrame& frame);
+CxVec frame_to_samples(const TxFrame& frame, PhyWorkspace& ws);
 
 // Number of OFDM data symbols needed for `psdu_octets` at `mcs`.
 int symbols_for_psdu(std::size_t psdu_octets, const Mcs& mcs);

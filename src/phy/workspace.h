@@ -16,12 +16,26 @@
 //    explicit plumbing goes through default_phy_workspace().
 #pragma once
 
+#include <array>
+#include <cstddef>
+
 #include "common/bits.h"
 #include "dsp/fft.h"
+#include "phy/params.h"
 #include "phy/puncture.h"
 #include "phy/viterbi.h"
 
 namespace silence {
+
+// Split-complex planes for the row-tiled FFT/IFFT kernels (phy/batch.h):
+// up to kRows OFDM symbols, bin-major and row-minor (re[bin * kRows + row]).
+// 16 rows x 64 bins of doubles per plane is 8 KiB, small enough to stay
+// L1-resident through all six butterfly stages.
+struct FftRowTile {
+  static constexpr std::size_t kRows = 16;
+  alignas(32) std::array<double, kFftSize * kRows> re{};
+  alignas(32) std::array<double, kFftSize * kRows> im{};
+};
 
 struct PhyWorkspace {
   // RX: CFO-corrected copy of the incoming burst.
@@ -38,6 +52,8 @@ struct PhyWorkspace {
   Bits recoded;
   // RX/TX: Viterbi survivor storage and quantized branch metrics.
   ViterbiWorkspace viterbi;
+  // RX/TX: data- and trailer-symbol FFT/IFFT tile.
+  FftRowTile tile;
 };
 
 // Per-thread workspace used by the convenience overloads that do not take

@@ -28,11 +28,10 @@ struct SessionConfig {
   // control subcarriers (the paper's design); when false the initial set
   // is kept forever (the "random placement" ablation uses this).
   bool use_selection_feedback = true;
-  // When set (and the process-wide switch is on), packets route through
-  // the batched SoA PHY engine using this workspace — bit-identical
-  // results, tiled FFT/IFFT inside each packet. Transient wiring, not a
-  // serialized setting; the owner must outlive the session.
-  PhyBatch* phy_batch = nullptr;
+  // PHY scratch for both ends of the link; null means the calling
+  // thread's default_phy_workspace(). Transient wiring, not a serialized
+  // setting; the owner must outlive the session.
+  PhyWorkspace* phy_workspace = nullptr;
 };
 
 struct PacketReport {

@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "phy/batch.h"
 #include "runner/json.h"
 #include "runner/sweep.h"
 
@@ -83,18 +82,6 @@ TEST(RunScenario, OutcomeIsAPureFunctionOfScenarioAndSeed) {
 
   const NetResult other = run_scenario(sc, 8);
   EXPECT_NE(first.to_json().dump_compact(), other.to_json().dump_compact());
-}
-
-TEST(RunScenario, BatchedEngineIsByteIdenticalToScalar) {
-  // run_scenario routes every session through the shared batched-PHY
-  // workspace by default; the scalar chain (the engine switch off) must
-  // produce the identical NetResult down to every serialized bit.
-  const Scenario sc = test_scenario(5);
-  const NetResult batched = run_scenario(sc, 99);
-  set_phy_batch_enabled(false);
-  const NetResult scalar = run_scenario(sc, 99);
-  set_phy_batch_enabled(true);
-  EXPECT_EQ(batched.to_json().dump_compact(), scalar.to_json().dump_compact());
 }
 
 TEST(RunScenario, DeliversDataAndFreeControlBits) {

@@ -1,14 +1,15 @@
-// Batch-width determinism suite for the SoA PHY engine (phy/batch.h).
+// Exactness suite for the row-tiled FFT/IFFT kernels (phy/batch.h) and
+// the chain stages built on them.
 //
-// The engine's contract is bit-identity, not closeness: every comparison
-// here is on the raw IEEE-754 bytes (memcmp), never a tolerance. Each
-// facade is checked against its scalar twin on clean, noisy and faded
-// bursts, across batch widths 1..32 including ragged group tails.
+// The kernels' contract is bit-identity, not closeness: every comparison
+// here is on the raw IEEE-754 bytes (memcmp), never a tolerance. The
+// oracle is the scalar per-symbol transform, fft_plan(64), and the
+// bit-serial LFSR scrambler.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <array>
 #include <cstring>
-#include <limits>
+#include <span>
 #include <vector>
 
 #include "channel/fading.h"
@@ -16,37 +17,32 @@
 #include "common/rng.h"
 #include "core/cos_link.h"
 #include "phy/batch.h"
+#include "phy/ofdm.h"
+#include "phy/preamble.h"
 #include "phy/receiver.h"
 #include "phy/scrambler.h"
 #include "phy/transmitter.h"
-#include "phy/viterbi.h"
 
 namespace silence {
 namespace {
 
-bool bit_equal(double a, double b) {
+constexpr auto kN = static_cast<std::size_t>(kFftSize);
+constexpr auto kSym = static_cast<std::size_t>(kSymbolSamples);
+
+bool bit_equal(const Cx& a, const Cx& b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-bool bit_equal(const Cx& a, const Cx& b) {
-  return bit_equal(a.real(), b.real()) && bit_equal(a.imag(), b.imag());
-}
-
-::testing::AssertionResult grids_bit_equal(const SymbolGrid& a,
-                                           const SymbolGrid& b) {
+::testing::AssertionResult spans_bit_equal(std::span<const Cx> a,
+                                           std::span<const Cx> b) {
   if (a.size() != b.size()) {
     return ::testing::AssertionFailure()
-           << "grid sizes differ: " << a.size() << " vs " << b.size();
+           << "sizes differ: " << a.size() << " vs " << b.size();
   }
-  for (std::size_t s = 0; s < a.size(); ++s) {
-    const auto ra = a[s];
-    const auto rb = b[s];
-    for (std::size_t k = 0; k < ra.size(); ++k) {
-      if (!bit_equal(ra[k], rb[k])) {
-        return ::testing::AssertionFailure()
-               << "grid cell [" << s << "][" << k << "] differs: " << ra[k]
-               << " vs " << rb[k];
-      }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!bit_equal(a[i], b[i])) {
+      return ::testing::AssertionFailure()
+             << "element " << i << " differs: " << a[i] << " vs " << b[i];
     }
   }
   return ::testing::AssertionSuccess();
@@ -58,14 +54,67 @@ Bytes random_psdu(Rng& rng, std::size_t total) {
   return psdu;
 }
 
+std::vector<CxVec> random_rows(Rng& rng, std::size_t rows) {
+  std::vector<CxVec> out(rows, CxVec(kN));
+  for (auto& row : out) {
+    for (auto& x : row) x = rng.complex_gaussian(1.0);
+  }
+  return out;
+}
+
+// Runs `rows` inputs through one tile pass and checks every row against
+// the scalar plan on that row alone. The tile starts out holding the
+// previous pass's values, as it does inside the chain.
+void expect_tile_matches_plan(FftRowTile& tile, bool inverse,
+                              const std::vector<CxVec>& inputs) {
+  const std::size_t rows = inputs.size();
+  for (std::size_t r = 0; r < rows; ++r) load_tile_row(tile, r, inputs[r]);
+  if (inverse) {
+    ifft_tile_rows(tile, rows);
+  } else {
+    fft_tile_rows(tile, rows);
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    CxVec expect = inputs[r];
+    if (inverse) {
+      fft_plan(kN).inverse(expect);
+    } else {
+      fft_plan(kN).forward(expect);
+    }
+    CxVec got(kN);
+    store_tile_row(tile, r, got);
+    EXPECT_TRUE(spans_bit_equal(got, expect))
+        << "row " << r << " of " << rows << (inverse ? " (ifft)" : " (fft)");
+  }
+}
+
+TEST(PhyBatch, TiledFftRowsMatchFftPlanBitForBit) {
+  Rng rng(64);
+  FftRowTile tile;
+  for (std::size_t rows = 1; rows <= FftRowTile::kRows; ++rows) {
+    expect_tile_matches_plan(tile, /*inverse=*/false, random_rows(rng, rows));
+  }
+  // Ragged tail after a full tile: stale rows must not leak in.
+  expect_tile_matches_plan(tile, false, random_rows(rng, FftRowTile::kRows));
+  expect_tile_matches_plan(tile, false, random_rows(rng, 3));
+}
+
+TEST(PhyBatch, TiledIfftRowsMatchFftPlanBitForBit) {
+  Rng rng(46);
+  FftRowTile tile;
+  for (std::size_t rows = 1; rows <= FftRowTile::kRows; ++rows) {
+    expect_tile_matches_plan(tile, /*inverse=*/true, random_rows(rng, rows));
+  }
+  expect_tile_matches_plan(tile, true, random_rows(rng, FftRowTile::kRows));
+  expect_tile_matches_plan(tile, true, random_rows(rng, 5));
+}
+
 // A faded + noisy burst that still decodes: the worst realistic input
 // (denormal-free but fully irregular mantissas everywhere).
-CxVec faded_burst(int rate, std::size_t octets, std::uint64_t seed,
-                  Bytes* psdu_out = nullptr) {
+CxVec faded_burst(int rate, std::size_t octets, std::uint64_t seed) {
   Rng rng(seed);
   const Mcs& mcs = mcs_for_rate(rate);
   const Bytes psdu = random_psdu(rng, octets);
-  if (psdu_out != nullptr) *psdu_out = psdu;
   const CxVec samples = frame_to_samples(build_frame(psdu, mcs));
   MultipathProfile profile;
   FadingChannel channel(profile, seed * 7919 + 1);
@@ -74,88 +123,61 @@ CxVec faded_burst(int rate, std::size_t octets, std::uint64_t seed,
   return channel.transmit(samples, noise_var, rng);
 }
 
-void expect_front_end_identical(const FrontEndResult& a,
-                                const FrontEndResult& b) {
-  EXPECT_EQ(a.preamble_ok, b.preamble_ok);
-  ASSERT_EQ(a.signal.has_value(), b.signal.has_value());
-  if (a.signal) {
-    EXPECT_EQ(a.signal->mcs, b.signal->mcs);
-    EXPECT_EQ(a.signal->length_octets, b.signal->length_octets);
-  }
-  for (std::size_t k = 0; k < a.channel.size(); ++k) {
-    EXPECT_TRUE(bit_equal(a.channel[k], b.channel[k])) << "channel bin " << k;
-  }
-  EXPECT_TRUE(bit_equal(a.noise_var, b.noise_var));
-  EXPECT_TRUE(bit_equal(a.cfo_hz, b.cfo_hz));
-  EXPECT_TRUE(grids_bit_equal(a.data_bins, b.data_bins));
-  EXPECT_TRUE(grids_bit_equal(a.trailer_bins, b.trailer_bins));
-}
-
-void expect_decode_identical(const DecodeResult& a, const DecodeResult& b) {
-  EXPECT_EQ(a.crc_ok, b.crc_ok);
-  EXPECT_EQ(a.psdu, b.psdu);
-  EXPECT_TRUE(grids_bit_equal(a.eq_data, b.eq_data));
-  EXPECT_EQ(a.decoder_input_hard, b.decoder_input_hard);
-  EXPECT_EQ(a.info_bits, b.info_bits);
-  EXPECT_EQ(a.scrambler_seed, b.scrambler_seed);
-}
-
 TEST(PhyBatch, FrontEndMatchesScalarBitForBit) {
-  PhyBatch batch;
+  // Every data and trailer row of the front end equals the scalar
+  // per-symbol FFT (time_to_bins_into) of the CFO-corrected burst.
+  PhyWorkspace ws;
   for (const int rate : {6, 24, 54}) {
     CxVec burst = faded_burst(rate, 700, static_cast<std::uint64_t>(rate));
     // Trailer coverage: append two whole symbols of channel-looking noise.
     Rng trailer_rng(99);
-    for (int i = 0; i < 2 * kSymbolSamples; ++i) {
+    for (std::size_t i = 0; i < 2 * kSym; ++i) {
       burst.push_back(trailer_rng.complex_gaussian(0.01));
     }
-    const FrontEndResult scalar = receiver_front_end(burst);
-    const FrontEndResult batched = receiver_front_end_batch(burst, batch);
-    ASSERT_TRUE(scalar.signal.has_value()) << "rate " << rate;
-    expect_front_end_identical(scalar, batched);
-  }
-}
-
-TEST(PhyBatch, DecodeMatchesScalarBitForBit) {
-  PhyBatch batch;
-  for (const int rate : {9, 24, 48}) {
-    const CxVec burst =
-        faded_burst(rate, 900, static_cast<std::uint64_t>(rate) + 10);
-    const FrontEndResult fe = receiver_front_end(burst);
-    ASSERT_TRUE(fe.signal.has_value());
-    const DecodeResult scalar = decode_data_symbols(
-        fe, *fe.signal->mcs, fe.signal->length_octets, nullptr);
-    const DecodeResult batched = decode_data_symbols_batch(
-        fe, *fe.signal->mcs, fe.signal->length_octets, nullptr, batch);
-    expect_decode_identical(scalar, batched);
-  }
-}
-
-TEST(PhyBatch, DecodeWithSilenceMaskMatchesScalar) {
-  PhyBatch batch;
-  const CxVec burst = faded_burst(24, 600, 42);
-  const FrontEndResult fe = receiver_front_end(burst);
-  ASSERT_TRUE(fe.signal.has_value());
-
-  // Mask a scattering of (symbol, subcarrier) cells: the EVD erasure
-  // injection must survive batching unchanged.
-  SilenceMask mask(fe.data_bins.size(),
-                   std::vector<std::uint8_t>(kNumDataSubcarriers, 0));
-  Rng rng(7);
-  for (auto& row : mask) {
-    for (int i = 0; i < 4; ++i) {
-      row[rng.uniform_int(0, row.size() - 1)] = 1;
+    const FrontEndResult fe = receiver_front_end(burst, ws);
+    ASSERT_TRUE(fe.signal.has_value()) << "rate " << rate;
+    ASSERT_EQ(fe.trailer_bins.size(), 2u);
+    const std::span<const Cx> corrected(ws.corrected);
+    std::array<Cx, kFftSize> bins;
+    const std::size_t data_start = kPreambleSamples + kSym;
+    for (std::size_t s = 0; s < fe.data_bins.size(); ++s) {
+      time_to_bins_into(corrected.subspan(data_start + s * kSym, kSym), bins);
+      ASSERT_TRUE(spans_bit_equal(fe.data_bins[s], bins))
+          << "data symbol " << s << " rate " << rate;
+    }
+    const std::size_t trailer_start =
+        data_start + fe.data_bins.size() * kSym;
+    for (std::size_t s = 0; s < fe.trailer_bins.size(); ++s) {
+      time_to_bins_into(corrected.subspan(trailer_start + s * kSym, kSym),
+                        bins);
+      ASSERT_TRUE(spans_bit_equal(fe.trailer_bins[s], bins))
+          << "trailer symbol " << s << " rate " << rate;
     }
   }
-  const DecodeResult scalar = decode_data_symbols(
-      fe, *fe.signal->mcs, fe.signal->length_octets, &mask);
-  const DecodeResult batched = decode_data_symbols_batch(
-      fe, *fe.signal->mcs, fe.signal->length_octets, &mask, batch);
-  expect_decode_identical(scalar, batched);
+}
+
+// The scalar per-symbol reference for the data region of a burst: every
+// symbol through bins_to_time_into (fft_plan(64) inverse plus CP).
+CxVec scalar_data_region(const TxFrame& frame) {
+  CxVec out(frame.data_grid.size() * kSym);
+  std::array<Cx, kFftSize> bins;
+  for (std::size_t s = 0; s < frame.data_grid.size(); ++s) {
+    assemble_frequency_bins_into(frame.data_grid[s], static_cast<int>(s) + 1,
+                                 bins);
+    bins_to_time_into(bins, std::span(out).subspan(s * kSym, kSym));
+  }
+  return out;
+}
+
+::testing::AssertionResult data_region_matches_scalar(const TxFrame& frame,
+                                                      const CxVec& samples) {
+  const std::size_t data_start = kPreambleSamples + kSym;
+  return spans_bit_equal(std::span(samples).subspan(data_start),
+                         scalar_data_region(frame));
 }
 
 TEST(PhyBatch, TransmitMatchesScalarBitForBit) {
-  PhyBatch batch;
+  PhyWorkspace ws;
   // Symbol counts around the 16-row tile boundary: below, exact multiple,
   // one over, and a large ragged count.
   for (const std::size_t octets : {40u, 120u, 340u, 1024u}) {
@@ -163,255 +185,63 @@ TEST(PhyBatch, TransmitMatchesScalarBitForBit) {
     const Bytes psdu = random_psdu(rng, octets);
     for (const int rate : {6, 24, 54}) {
       const TxFrame frame = build_frame(psdu, mcs_for_rate(rate));
-      const CxVec scalar = frame_to_samples(frame);
-      const CxVec batched = frame_to_samples_batch(frame, batch);
-      ASSERT_EQ(scalar.size(), batched.size());
-      for (std::size_t i = 0; i < scalar.size(); ++i) {
-        ASSERT_TRUE(bit_equal(scalar[i], batched[i]))
-            << "sample " << i << " rate " << rate << " octets " << octets;
-      }
+      EXPECT_TRUE(data_region_matches_scalar(frame, frame_to_samples(frame, ws)))
+          << "rate " << rate << " octets " << octets;
     }
   }
-}
-
-TEST(PhyBatch, ReceivePacketBatchAllWidthsMatchScalar) {
-  PhyBatch batch;
-  // 32 bursts of mixed rate/length, plus one noise-only lane (no SIGNAL)
-  // so group processing exercises the skip path.
-  std::vector<CxVec> bursts;
-  std::vector<Bytes> psdus;
-  const int rates[] = {6, 9, 12, 18, 24, 36, 48, 54};
-  for (int i = 0; i < 31; ++i) {
-    Bytes psdu;
-    bursts.push_back(faded_burst(rates[i % 8],
-                                 100 + static_cast<std::size_t>(i) * 29,
-                                 static_cast<std::uint64_t>(i) + 1000, &psdu));
-    psdus.push_back(psdu);
-  }
-  {
-    Rng rng(555);
-    CxVec noise(900);
-    for (auto& x : noise) x = rng.complex_gaussian(1.0);
-    bursts.insert(bursts.begin() + 5, noise);
-    psdus.insert(psdus.begin() + 5, Bytes{});
-  }
-
-  std::vector<RxPacket> expected;
-  for (const auto& b : bursts) expected.push_back(receive_packet(b));
-
-  for (const std::size_t width : {1u, 2u, 3u, 8u, 13u, 32u}) {
-    std::vector<std::span<const Cx>> spans;
-    for (std::size_t i = 0; i < width; ++i) spans.emplace_back(bursts[i]);
-    std::vector<RxPacket> got(width);
-    receive_packet_batch(spans, batch, got);
-    for (std::size_t i = 0; i < width; ++i) {
-      EXPECT_EQ(got[i].ok, expected[i].ok) << "lane " << i << " w " << width;
-      EXPECT_EQ(got[i].psdu, expected[i].psdu) << "lane " << i;
-      ASSERT_EQ(got[i].signal.has_value(), expected[i].signal.has_value());
-      if (got[i].ok) {
-        EXPECT_EQ(got[i].psdu, psdus[i]);
-      }
-    }
-  }
-
-  // The single-burst facade too.
-  for (std::size_t i = 0; i < 8; ++i) {
-    const RxPacket got = receive_packet_batch(bursts[i], batch);
-    EXPECT_EQ(got.ok, expected[i].ok);
-    EXPECT_EQ(got.psdu, expected[i].psdu);
-  }
-}
-
-// --- CoS link facades -----------------------------------------------------
-
-const std::vector<int> kCosControl = {4, 9, 14, 19, 24, 29, 34, 39};
-
-CosTxConfig cos_tx_config(int mbps) {
-  CosTxConfig config;
-  config.mcs = McsId::for_rate(mbps);
-  config.control_subcarriers = kCosControl;
-  return config;
-}
-
-CosRxConfig cos_rx_config() {
-  CosRxConfig config;
-  config.control_subcarriers = kCosControl;
-  return config;
-}
-
-// A faded CoS burst: data + embedded silence intervals through multipath.
-CxVec cos_faded_burst(int rate, std::size_t octets, std::uint64_t seed) {
-  Rng rng(seed);
-  const Mcs& mcs = mcs_for_rate(rate);
-  const Bytes psdu = random_psdu(rng, octets);
-  const Bits control = rng.bits(24);
-  const CosTxPacket tx = cos_transmit(psdu, control, cos_tx_config(rate));
-  MultipathProfile profile;
-  FadingChannel channel(profile, seed * 104729 + 3);
-  const double noise_var =
-      noise_var_for_measured_snr(channel, mcs.min_required_snr_db + 10.0);
-  return channel.transmit(tx.samples, noise_var, rng);
-}
-
-void expect_cos_identical(const CosRxPacket& a, const CosRxPacket& b) {
-  expect_front_end_identical(a.fe, b.fe);
-  expect_decode_identical(a.decode, b.decode);
-  EXPECT_EQ(a.data_ok, b.data_ok);
-  EXPECT_EQ(a.psdu, b.psdu);
-  EXPECT_EQ(a.detected_mask, b.detected_mask);
-  EXPECT_EQ(a.control_bits, b.control_bits);
-  ASSERT_EQ(a.evm_valid, b.evm_valid);
-  if (a.evm_valid) {
-    for (int sc = 0; sc < kNumDataSubcarriers; ++sc) {
-      EXPECT_TRUE(bit_equal(a.evm[static_cast<std::size_t>(sc)],
-                            b.evm[static_cast<std::size_t>(sc)]))
-          << "evm subcarrier " << sc;
-    }
-  }
-  EXPECT_EQ(a.next_control_subcarriers, b.next_control_subcarriers);
 }
 
 TEST(PhyBatch, CosTransmitMatchesScalarBitForBit) {
-  PhyBatch batch;
+  // Silenced grid cells go through the tiled IFFT like any other bin.
   Rng rng(808);
   for (const int rate : {6, 24, 54}) {
     const Bytes psdu = random_psdu(rng, 500);
     const Bits control = rng.bits(40);
-    const CosTxPacket scalar = cos_transmit(psdu, control, cos_tx_config(rate));
-    const CosTxPacket batched =
-        cos_transmit(psdu, control, cos_tx_config(rate), batch);
-    EXPECT_EQ(scalar.plan.mask, batched.plan.mask);
-    EXPECT_EQ(scalar.plan.bits_sent, batched.plan.bits_sent);
-    EXPECT_TRUE(grids_bit_equal(scalar.frame.data_grid,
-                                batched.frame.data_grid));
-    ASSERT_EQ(scalar.samples.size(), batched.samples.size());
-    for (std::size_t i = 0; i < scalar.samples.size(); ++i) {
-      ASSERT_TRUE(bit_equal(scalar.samples[i], batched.samples[i]))
-          << "sample " << i << " rate " << rate;
-    }
+    CosTxConfig config;
+    config.mcs = McsId::for_rate(rate);
+    config.control_subcarriers = {4, 9, 14, 19, 24, 29, 34, 39};
+    const CosTxPacket tx = cos_transmit(psdu, control, config);
+    ASSERT_GT(tx.plan.silence_count, 0u);
+    EXPECT_TRUE(data_region_matches_scalar(tx.frame, tx.samples))
+        << "rate " << rate;
   }
 }
 
 TEST(PhyBatch, CosReceiveMatchesScalarBitForBit) {
-  PhyBatch batch;
+  // Through a faded channel with embedded silences: the CoS receiver's
+  // front-end rows are the scalar per-symbol FFTs, and a decoded packet's
+  // descrambled stream is the LFSR applied to the transmitted one.
+  PhyWorkspace ws;
+  Rng rng(70);
   for (const int rate : {9, 24, 48}) {
-    const CxVec burst =
-        cos_faded_burst(rate, 800, static_cast<std::uint64_t>(rate) + 70);
-    const CosRxPacket scalar = cos_receive(burst, cos_rx_config(),
-                                           Modulation::kQam16);
-    ASSERT_TRUE(scalar.fe.signal.has_value()) << "rate " << rate;
-    const CosRxPacket batched =
-        cos_receive(burst, cos_rx_config(), Modulation::kQam16, batch);
-    expect_cos_identical(scalar, batched);
-  }
-}
+    const Mcs& mcs = mcs_for_rate(rate);
+    CosTxConfig tx_config;
+    tx_config.mcs = McsId::of(mcs);
+    tx_config.control_subcarriers = {4, 9, 14, 19, 24, 29, 34, 39};
+    const CosTxPacket tx =
+        cos_transmit(random_psdu(rng, 800), rng.bits(24), tx_config);
+    FadingChannel channel(MultipathProfile{},
+                          static_cast<std::uint64_t>(rate) * 104729 + 3);
+    const double noise_var =
+        noise_var_for_measured_snr(channel, mcs.min_required_snr_db + 10.0);
+    const CxVec burst = channel.transmit(tx.samples, noise_var, rng);
 
-TEST(PhyBatch, CosReceiveMultiLaneMatchesScalar) {
-  PhyBatch batch;
-  const int rates[] = {6, 12, 24, 36, 54, 9, 18, 48};
-  std::vector<CxVec> bursts;
-  for (int i = 0; i < 11; ++i) {
-    bursts.push_back(cos_faded_burst(rates[i % 8],
-                                     150 + static_cast<std::size_t>(i) * 41,
-                                     static_cast<std::uint64_t>(i) + 3000));
-  }
-  // One lane with no decodable SIGNAL in the middle of a group.
-  {
-    Rng rng(414);
-    CxVec noise(800);
-    for (auto& x : noise) x = rng.complex_gaussian(1.0);
-    bursts.insert(bursts.begin() + 3, noise);
-  }
-
-  std::vector<CosRxPacket> expected;
-  for (const auto& b : bursts) {
-    expected.push_back(cos_receive(b, cos_rx_config(), std::nullopt));
-  }
-
-  for (const std::size_t width : {1u, 3u, 8u, 12u}) {
-    std::vector<std::span<const Cx>> spans;
-    for (std::size_t i = 0; i < width; ++i) spans.emplace_back(bursts[i]);
-    const std::vector<CosRxPacket> got =
-        cos_receive_batch(spans, cos_rx_config(), std::nullopt, batch);
-    ASSERT_EQ(got.size(), width);
-    for (std::size_t i = 0; i < width; ++i) {
-      SCOPED_TRACE("lane " + std::to_string(i) + " width " +
-                   std::to_string(width));
-      expect_cos_identical(expected[i], got[i]);
+    CosRxConfig rx_config;
+    rx_config.control_subcarriers = tx_config.control_subcarriers;
+    const CosRxPacket rx =
+        cos_receive(burst, rx_config, Modulation::kQam16, ws);
+    ASSERT_TRUE(rx.data_ok) << "rate " << rate;
+    const std::span<const Cx> corrected(ws.corrected);
+    std::array<Cx, kFftSize> bins;
+    for (std::size_t s = 0; s < rx.fe.data_bins.size(); ++s) {
+      time_to_bins_into(
+          corrected.subspan(kPreambleSamples + (1 + s) * kSym, kSym), bins);
+      ASSERT_TRUE(spans_bit_equal(rx.fe.data_bins[s], bins))
+          << "data symbol " << s << " rate " << rate;
     }
+    EXPECT_EQ(rx.decode.info_bits,
+              Scrambler(tx.frame.scrambler_seed).apply(tx.frame.data_bits));
   }
-}
-
-// --- Lane-batched Viterbi -------------------------------------------------
-
-std::vector<double> random_llrs(Rng& rng, std::size_t steps) {
-  std::vector<double> llrs(steps * 2);
-  for (auto& v : llrs) {
-    v = rng.uniform() * 20.0 - 10.0;
-    if (rng.uniform() < 0.05) v = 0.0;  // erasures
-  }
-  return llrs;
-}
-
-TEST(PhyBatch, ViterbiBatchMatchesScalarPerLane) {
-  const ViterbiDecoder decoder;
-  Rng rng(2024);
-  // Ragged lane lengths around each other, including an empty lane.
-  const std::size_t steps[] = {257, 64, 0, 1024, 1024, 3, 511, 258};
-  for (const bool terminated : {false, true}) {
-    for (std::size_t nlanes = 1; nlanes <= 8; ++nlanes) {
-      std::vector<std::vector<double>> streams;
-      for (std::size_t l = 0; l < nlanes; ++l) {
-        streams.push_back(random_llrs(rng, steps[l]));
-      }
-      // Special values: quantizer must treat them identically per lane.
-      if (nlanes >= 4) {
-        streams[1][2] = std::numeric_limits<double>::infinity();
-        streams[1][3] = -std::numeric_limits<double>::infinity();
-        streams[3][10] = std::numeric_limits<double>::quiet_NaN();
-      }
-
-      std::vector<std::span<const double>> spans;
-      for (const auto& s : streams) spans.emplace_back(s);
-      std::vector<Bits> got(nlanes);
-      ViterbiBatchWorkspace ws;
-      decoder.decode_fixed_batch(spans, terminated, ws, got);
-
-      for (std::size_t l = 0; l < nlanes; ++l) {
-        const Bits expect = decoder.decode_fixed(streams[l], terminated);
-        EXPECT_EQ(got[l], expect)
-            << "lane " << l << " of " << nlanes << " term " << terminated;
-      }
-    }
-  }
-}
-
-TEST(PhyBatch, ViterbiBatchOversizedLaneFallsBack) {
-  const ViterbiDecoder decoder;
-  Rng rng(77);
-  std::vector<std::vector<double>> streams;
-  streams.push_back(random_llrs(rng, ViterbiDecoder::kMaxFixedSteps + 1));
-  streams.push_back(random_llrs(rng, 200));
-  std::vector<std::span<const double>> spans(streams.begin(), streams.end());
-  std::vector<Bits> got(2);
-  ViterbiBatchWorkspace ws;
-  decoder.decode_fixed_batch(spans, /*terminated=*/false, ws, got);
-  for (std::size_t l = 0; l < streams.size(); ++l) {
-    EXPECT_EQ(got[l], decoder.decode_fixed(streams[l], false)) << l;
-  }
-}
-
-TEST(PhyBatch, ViterbiBatchRejectsBadArguments) {
-  const ViterbiDecoder decoder;
-  ViterbiBatchWorkspace ws;
-  std::vector<Bits> out;
-  EXPECT_THROW(decoder.decode_fixed_batch({}, false, ws, out),
-               std::invalid_argument);
-  std::vector<double> odd(3, 0.5);
-  std::vector<std::span<const double>> spans{odd};
-  out.resize(1);
-  EXPECT_THROW(decoder.decode_fixed_batch(spans, false, ws, out),
-               std::invalid_argument);
 }
 
 TEST(PhyBatch, FastDescrambleMatchesLfsrForEverySeed) {
@@ -431,12 +261,44 @@ TEST(PhyBatch, FastDescrambleMatchesLfsrForEverySeed) {
   EXPECT_THROW(Scrambler::period_cached(0), std::invalid_argument);
 }
 
-TEST(PhyBatch, EngineSwitchRoundTrips) {
-  EXPECT_TRUE(phy_batch_enabled());
-  set_phy_batch_enabled(false);
-  EXPECT_FALSE(phy_batch_enabled());
-  set_phy_batch_enabled(true);
-  EXPECT_TRUE(phy_batch_enabled());
+TEST(PhyBatch, DecodeMatchesScalarBitForBit) {
+  // The decoder descrambles with the cached-period XOR; its output must be
+  // the bit-serial LFSR applied to the transmitted scrambled stream.
+  for (const int rate : {9, 24, 48}) {
+    Rng rng(static_cast<std::uint64_t>(rate) + 10);
+    const Bytes psdu = random_psdu(rng, 900);
+    const TxFrame frame = build_frame(psdu, mcs_for_rate(rate), 0x2B);
+    const FrontEndResult fe = receiver_front_end(frame_to_samples(frame));
+    ASSERT_TRUE(fe.signal.has_value());
+    const DecodeResult decode = decode_data_symbols(
+        fe, *fe.signal->mcs, fe.signal->length_octets, nullptr);
+    ASSERT_TRUE(decode.crc_ok) << "rate " << rate;
+    EXPECT_EQ(decode.scrambler_seed, 0x2B);
+    EXPECT_EQ(decode.info_bits, Scrambler(0x2B).apply(frame.data_bits));
+    EXPECT_EQ(decode.psdu, psdu);
+  }
+}
+
+TEST(PhyBatch, DecodeWithSilenceMaskMatchesScalar) {
+  // Same oracle with EVD erasures injected on a scattering of cells: the
+  // code absorbs them and the descrambled stream is still the LFSR's.
+  Rng rng(42);
+  const Bytes psdu = random_psdu(rng, 600);
+  const TxFrame frame = build_frame(psdu, mcs_for_rate(24), 0x5D);
+  const FrontEndResult fe = receiver_front_end(frame_to_samples(frame));
+  ASSERT_TRUE(fe.signal.has_value());
+  SilenceMask mask(fe.data_bins.size(),
+                   std::vector<std::uint8_t>(kNumDataSubcarriers, 0));
+  for (auto& row : mask) {
+    for (int i = 0; i < 4; ++i) {
+      row[rng.uniform_int(0, row.size() - 1)] = 1;
+    }
+  }
+  const DecodeResult decode = decode_data_symbols(
+      fe, *fe.signal->mcs, fe.signal->length_octets, &mask);
+  ASSERT_TRUE(decode.crc_ok);
+  EXPECT_EQ(decode.info_bits, Scrambler(0x5D).apply(frame.data_bits));
+  EXPECT_EQ(decode.psdu, psdu);
 }
 
 }  // namespace
