@@ -454,7 +454,7 @@ void NetSim::on_tx_end(int b, double t) {
   }
 
   // The session advances the winner's own link by the frame airtime;
-  // everyone else catches up below.
+  // everyone else's share of the exchange is queued below.
   const Station::TxOutcome tx = stations_[ws]->transmit(interferer);
   if (tx.data_airtime_us != bss.air_us) {
     // TxEnd was scheduled off nominal_airtime_us(); nothing may advance

@@ -154,6 +154,8 @@ class NetSim {
   bool has_frame(int sta) const {
     return saturated_ || queue_len_[static_cast<std::size_t>(sta)] > 0;
   }
+  // Hands `us` of medium time to every member but `except`; each one
+  // queues it until its channel is next read (net/station.h).
   void advance_members(const BssState& bss, double us, int except);
   // Credits `victim`'s in-flight exchange with its channel-weighted
   // overlap against `iv` (no-op when the weight or overlap is zero).

@@ -6,6 +6,7 @@
 #include "mac/aggregation.h"
 #include "mac/frame.h"
 #include "mac/timing.h"
+#include "obs/obs.h"
 #include "runner/seed.h"
 
 namespace silence::net {
@@ -76,7 +77,19 @@ Station::Station(const Scenario& scenario, int index, double snr_db,
   backoff_.restart(traffic_rng_);
 }
 
-double Station::nominal_airtime_us() const {
+void Station::advance(double seconds) {
+  OBS_COUNT("net.fading.requested");
+  pending_advance_s_.push_back(seconds);
+}
+
+void Station::catch_up() {
+  OBS_COUNT_N("net.fading.applied", pending_advance_s_.size());
+  for (const double seconds : pending_advance_s_) link_.advance(seconds);
+  pending_advance_s_.clear();
+}
+
+double Station::nominal_airtime_us() {
+  if (!fixed_rate_mbps_) catch_up();
   const Mcs& mcs = fixed_rate_mbps_
                        ? mcs_for_rate(*fixed_rate_mbps_)
                        : select_mcs_by_snr(link_.measured_snr_db());
@@ -85,6 +98,7 @@ double Station::nominal_airtime_us() const {
 
 Station::TxOutcome Station::transmit(
     const std::optional<PulseInterferer>& interferer) {
+  catch_up();
   if (interferer) link_.set_interferer(interferer);
   std::vector<Bytes> mpdus;
   mpdus.reserve(mpdus_per_frame_);

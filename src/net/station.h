@@ -3,9 +3,19 @@
 // own traffic source. All randomness comes from the station's private
 // substreams of the scenario seed, so the scheduler never owns an RNG
 // and station behaviour is independent of evaluation order.
+//
+// Catch-up before read: the scheduler hands every station the medium
+// time that passes while others hold it (advance()), but the station
+// only queues those intervals. It replays them through its fading
+// process, in order, right before the channel is next read — by
+// nominal_airtime_us() under rate adaptation, or by transmit(). The
+// fading process draws from the station's own substream, so the replay
+// makes the same draws in the same order as advancing eagerly would;
+// intervals still queued when the run ends are never executed.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "mac/backoff.h"
 #include "net/scenario.h"
@@ -41,8 +51,8 @@ class Station {
 
   // Builds this round's A-MPDU (fresh payloads + the next control
   // chunk), sends it through the CosSession and updates the station's
-  // tallies and backoff. The session advances this station's own link
-  // by the frame airtime; the scheduler advances everything else.
+  // tallies and backoff. The link first catches up on the queued
+  // advances; the session then advances it by the frame airtime itself.
   // `interferer`, when set, injects pulse interference (OBSS overlap or
   // a hidden terminal's blind fire) into this one exchange; the link is
   // restored to interference-free afterwards. When unset, the RNG
@@ -64,11 +74,13 @@ class Station {
 
   // Airtime its next PPDU would occupy, at the rate the session would
   // pick right now. Collisions are charged this much medium time without
-  // running the PHY (matching mac/contention.cpp).
-  double nominal_airtime_us() const;
+  // running the PHY (matching mac/contention.cpp). Under rate
+  // adaptation this reads the channel, so it catches up first.
+  double nominal_airtime_us();
 
-  // Advances the fading process by `seconds` of other-station airtime.
-  void advance(double seconds) { link_.advance(seconds); }
+  // Queues `seconds` of other-station airtime for the fading process;
+  // see the catch-up contract at the top of this file.
+  void advance(double seconds);
 
   Backoff& backoff() { return backoff_; }
   const Backoff& backoff() const { return backoff_; }
@@ -86,9 +98,13 @@ class Station {
 
   Rng traffic_rng_;
   Link link_;
+  std::vector<double> pending_advance_s_;  // queued, not yet applied
   CosSession session_;
   Backoff backoff_;
   StaStats stats_;
+
+  // Replays the queued advances through the link, oldest first.
+  void catch_up();
 };
 
 }  // namespace silence::net

@@ -1,7 +1,13 @@
 #include "channel/fading.h"
 
-#include <cmath>
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <numbers>
+#include <span>
+#include <vector>
 
 #include "common/db.h"
 #include "common/rng.h"
@@ -100,6 +106,98 @@ TEST(Fading, MeasuredSnrPinningIsExact) {
   for (double target : {5.0, 12.0, 20.0, 25.0}) {
     const double nv = noise_var_for_measured_snr(channel, target);
     EXPECT_NEAR(channel.measured_snr_db(nv), target, 1e-9);
+  }
+}
+
+// Bit-exactness oracles. frequency_response() reads its twiddles from a
+// table and noise_var_for_measured_snr() bisects over gains it computes
+// once; both must return exactly what the direct evaluation returns.
+// These are the direct forms: the twiddle computed per term, and the
+// measured SNR recomputed from a fresh response at every bisection step.
+std::array<Cx, kFftSize> direct_response(std::span<const Cx> taps) {
+  std::array<Cx, kFftSize> response{};
+  for (int k = 0; k < kFftSize; ++k) {
+    Cx acc{0.0, 0.0};
+    for (std::size_t l = 0; l < taps.size(); ++l) {
+      const double angle = -2.0 * std::numbers::pi * k *
+                           static_cast<double>(l) / kFftSize;
+      acc += taps[l] * Cx{std::cos(angle), std::sin(angle)};
+    }
+    response[static_cast<std::size_t>(k)] = acc;
+  }
+  return response;
+}
+
+double direct_measured_snr_db(std::span<const Cx> taps, double noise_var) {
+  const auto response = direct_response(taps);
+  const double n_freq = freq_noise_var(noise_var);
+  double inverse_sum = 0.0;
+  int count = 0;
+  for (int bin : data_subcarrier_bins()) {
+    const double snr =
+        std::norm(response[static_cast<std::size_t>(bin)]) / n_freq;
+    inverse_sum += 1.0 / std::max(snr, 0.3);
+    ++count;
+  }
+  return linear_to_db(count / inverse_sum);
+}
+
+double direct_noise_var_for_measured_snr(std::span<const Cx> taps,
+                                         double measured_snr_db) {
+  double lo_db = -80.0, hi_db = 80.0;
+  for (int iter = 0; iter < 60; ++iter) {
+    const double mid_db = 0.5 * (lo_db + hi_db);
+    const double measured =
+        direct_measured_snr_db(taps, noise_var_for_snr_db(mid_db));
+    if (measured > measured_snr_db) {
+      hi_db = mid_db;
+    } else {
+      lo_db = mid_db;
+    }
+  }
+  return noise_var_for_snr_db(0.5 * (lo_db + hi_db));
+}
+
+// Rician tap 0 only (the default) and every tap split static/scattered.
+std::vector<MultipathProfile> oracle_profiles(int num_taps) {
+  MultipathProfile rician;
+  rician.num_taps = num_taps;
+  MultipathProfile all_static = rician;
+  all_static.k_all_taps_linear = 8.0;
+  return {rician, all_static};
+}
+
+TEST(Fading, TabledFrequencyResponseIsBitExact) {
+  for (int num_taps = 1; num_taps <= 16; ++num_taps) {
+    for (const MultipathProfile& profile : oracle_profiles(num_taps)) {
+      for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234567ULL}) {
+        FadingChannel channel(profile, seed);
+        channel.advance(3e-3);  // off the initial draw
+        const auto tabled = channel.frequency_response();
+        const auto direct = direct_response(channel.taps());
+        for (std::size_t k = 0; k < tabled.size(); ++k) {
+          ASSERT_TRUE(tabled[k] == direct[k])
+              << "taps " << num_taps << " seed " << seed << " bin " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(Fading, HoistedBisectionIsBitExact) {
+  for (const MultipathProfile& profile : oracle_profiles(8)) {
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      const FadingChannel channel(profile, seed);
+      for (double target = -5.0; target <= 35.0; target += 2.5) {
+        const double hoisted = noise_var_for_measured_snr(channel, target);
+        const double direct =
+            direct_noise_var_for_measured_snr(channel.taps(), target);
+        ASSERT_TRUE(hoisted == direct)
+            << "seed " << seed << " target " << target;
+        ASSERT_TRUE(channel.measured_snr_db(hoisted) ==
+                    direct_measured_snr_db(channel.taps(), hoisted));
+      }
+    }
   }
 }
 
