@@ -110,14 +110,14 @@ net::TrafficModel parse_traffic(const std::string& spec) {
 
 // Latency percentiles reported per point: every station's head-of-line
 // wait histogram merged into one distribution (same for inter-TX gaps).
-net::SlotHist merged_hol(const net::NetResult& r) {
-  net::SlotHist h;
+obs::Hist merged_hol(const net::NetResult& r) {
+  obs::Hist h;
   for (const net::StaStats& s : r.stations) h += s.hol_wait_slots;
   return h;
 }
 
-net::SlotHist merged_gap(const net::NetResult& r) {
-  net::SlotHist h;
+obs::Hist merged_gap(const net::NetResult& r) {
+  obs::Hist h;
   for (const net::StaStats& s : r.stations) h += s.inter_tx_gap_slots;
   return h;
 }
@@ -182,8 +182,8 @@ runner::Json net_point_row(std::int64_t stas, const net::NetResult& r) {
   point.set("fairness", r.jain_fairness());
   point.set("coll_rate", r.collision_rate());
   point.set("mpdus", static_cast<std::int64_t>(mpdus));
-  const net::SlotHist hol = merged_hol(r);
-  const net::SlotHist gap = merged_gap(r);
+  const obs::Hist hol = merged_hol(r);
+  const obs::Hist gap = merged_gap(r);
   point.set("hol_wait_slots_p50", hol.quantile(0.50));
   point.set("hol_wait_slots_p95", hol.quantile(0.95));
   point.set("hol_wait_slots_p99", hol.quantile(0.99));
@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
     total_events += r.events;
     std::size_t mpdus = 0;
     for (const net::StaStats& s : r.stations) mpdus += s.mpdus_delivered;
-    const net::SlotHist hol = merged_hol(r);
+    const obs::Hist hol = merged_hol(r);
     report.add_row({static_cast<std::int64_t>(grid.points[i]),
                     r.aggregate_throughput_mbps(), r.control_goodput_kbps(),
                     r.airtime_overhead(), r.jain_fairness(),

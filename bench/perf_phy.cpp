@@ -18,6 +18,7 @@
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "core/cos_link.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "phy/convolutional.h"
 #include "phy/receiver.h"

@@ -54,6 +54,7 @@
 #include "fabric/telemetry.h"
 #include "fabric/transport.h"
 #include "obs/health/health.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "runner/sinks.h"
 #include "runner/sweep.h"
@@ -159,10 +160,10 @@ class Fabric {
   void write_sidecars(const std::string& json_path) const {
     std::vector<runner::Json> docs = worker_metrics_;
     const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
-    if (!snapshot.empty()) docs.push_back(runner::metrics_json(snapshot));
+    if (!snapshot.empty()) docs.push_back(obs::metrics_json(snapshot));
     if (!docs.empty()) {
       runner::write_json_file(runner::metrics_sidecar_path(json_path),
-                              runner::merge_metrics_json(docs));
+                              obs::merge_metrics_json(docs));
     }
     if (!telemetry_.empty()) {
       runner::write_json_file(runner::telemetry_sidecar_path(json_path),
@@ -269,7 +270,7 @@ class Fabric {
     const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
     if (!snapshot.empty()) {
       runner::write_json_file(runner::metrics_sidecar_path(config_.shard_out),
-                              runner::metrics_json(snapshot));
+                              obs::metrics_json(snapshot));
     }
     const obs::health::HealthSnapshot health =
         obs::health::Registry::global().snapshot();

@@ -5,10 +5,6 @@
 
 namespace silence::fabric {
 
-namespace {
-
-// Exact quantile over the sorted sample list (linear interpolation
-// between order statistics) — attempts are few, so no bucketing needed.
 double quantile_of(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted.front();
@@ -18,8 +14,6 @@ double quantile_of(const std::vector<double>& sorted, double q) {
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
-
-}  // namespace
 
 void Telemetry::record(const char* kind, const std::string& shard,
                        int attempt, double seconds,

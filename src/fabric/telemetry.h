@@ -22,6 +22,13 @@
 
 namespace silence::fabric {
 
+// Exact quantile of a sorted sample list (linear interpolation between
+// order statistics); 0 for an empty list. Attempts are few, so no
+// bucketing: Telemetry::to_json reports its attempt-duration p50/p95/p99
+// with it, and silence_campaign recomputes them over the pooled samples
+// of every sweep.
+double quantile_of(const std::vector<double>& sorted, double q);
+
 class Telemetry {
  public:
   // Event kinds, as they appear in the JSON "kind" field.

@@ -1,10 +1,7 @@
 #include "net/scenario.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "obs/metrics.h"
 
 namespace silence::net {
 
@@ -97,89 +94,6 @@ Scenario Scenario::from_json(const runner::Json& json) {
   sc.metrics_station_cap =
       static_cast<int>(require(json, "metrics_station_cap").as_int());
   return sc;
-}
-
-void SlotHist::record(std::uint64_t value) {
-  if (count == 0) {
-    buckets.assign(obs::kHistogramBuckets, 0);
-    min = value;
-    max = value;
-  } else {
-    min = std::min(min, value);
-    max = std::max(max, value);
-  }
-  ++count;
-  sum += value;
-  ++buckets[obs::histogram_bucket(value)];
-}
-
-double SlotHist::mean() const {
-  return count == 0 ? 0.0
-                    : static_cast<double>(sum) / static_cast<double>(count);
-}
-
-double SlotHist::quantile(double q) const {
-  obs::HistogramSnapshot snap;
-  snap.count = count;
-  snap.sum = sum;
-  snap.min = min;
-  snap.max = max;
-  snap.buckets = buckets;
-  snap.buckets.resize(obs::kHistogramBuckets, 0);
-  return snap.quantile(q);
-}
-
-SlotHist& SlotHist::operator+=(const SlotHist& o) {
-  if (o.count == 0) return *this;
-  if (count == 0) {
-    *this = o;
-    return *this;
-  }
-  min = std::min(min, o.min);
-  max = std::max(max, o.max);
-  count += o.count;
-  sum += o.sum;
-  for (std::size_t b = 0; b < buckets.size(); ++b) buckets[b] += o.buckets[b];
-  return *this;
-}
-
-runner::Json SlotHist::to_json() const {
-  runner::Json root = runner::Json::object();
-  root.set("count", static_cast<std::int64_t>(count));
-  root.set("sum", static_cast<std::int64_t>(sum));
-  root.set("min", static_cast<std::int64_t>(min));
-  root.set("max", static_cast<std::int64_t>(max));
-  std::size_t used = buckets.size();
-  while (used > 0 && buckets[used - 1] == 0) --used;
-  runner::Json tallies = runner::Json::array();
-  for (std::size_t b = 0; b < used; ++b) {
-    tallies.push_back(static_cast<std::int64_t>(buckets[b]));
-  }
-  root.set("buckets", std::move(tallies));
-  return root;
-}
-
-SlotHist SlotHist::from_json(const runner::Json& json) {
-  SlotHist h;
-  h.count = static_cast<std::uint64_t>(require(json, "count").as_int());
-  h.sum = static_cast<std::uint64_t>(require(json, "sum").as_int());
-  h.min = static_cast<std::uint64_t>(require(json, "min").as_int());
-  h.max = static_cast<std::uint64_t>(require(json, "max").as_int());
-  const runner::Json& tallies = require(json, "buckets");
-  if (!tallies.is_array()) {
-    throw std::runtime_error("SlotHist::from_json: buckets is not an array");
-  }
-  if (tallies.size() > obs::kHistogramBuckets) {
-    throw std::runtime_error("SlotHist::from_json: too many buckets");
-  }
-  if (h.count > 0) {
-    h.buckets.assign(obs::kHistogramBuckets, 0);
-    for (std::size_t b = 0; b < tallies.size(); ++b) {
-      h.buckets[b] =
-          static_cast<std::uint64_t>(tallies.as_array()[b].as_int());
-    }
-  }
-  return h;
 }
 
 StaStats& StaStats::operator+=(const StaStats& o) {
@@ -340,9 +254,9 @@ NetResult NetResult::from_json(const runner::Json& json) {
     s.control_bits_correct = static_cast<std::size_t>(
         require(row, "control_bits_correct").as_int());
     s.data_airtime_us = require(row, "data_airtime_us").as_double();
-    s.hol_wait_slots = SlotHist::from_json(require(row, "hol_wait_slots"));
+    s.hol_wait_slots = obs::Hist::from_json(require(row, "hol_wait_slots"));
     s.inter_tx_gap_slots =
-        SlotHist::from_json(require(row, "inter_tx_gap_slots"));
+        obs::Hist::from_json(require(row, "inter_tx_gap_slots"));
     r.stations.push_back(s);
   }
   return r;

@@ -26,6 +26,7 @@
 #include "core/cos_profile.h"
 #include "mac/contention.h"  // AirtimeBreakdown
 #include "net/topology.h"
+#include "obs/hist.h"
 #include "runner/json.h"
 
 namespace silence::net {
@@ -80,32 +81,8 @@ struct Scenario {
   friend bool operator==(const Scenario&, const Scenario&) = default;
 };
 
-// Fixed-bucket histogram of slot-time latencies, carried inside the
-// deterministic result itself (unlike obs histograms, these exist — and
-// merge identically — with observability compiled out, so sweep JSONs
-// stay byte-identical ON vs OFF). Buckets follow obs::histogram_bucket's
-// power-of-two scheme, and quantile() gives the same bucket-interpolated
-// p50/p95/p99 estimate as obs::HistogramSnapshot.
-struct SlotHist {
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;  // meaningful only when count > 0
-  std::uint64_t max = 0;
-  std::vector<std::uint64_t> buckets;  // kHistogramBuckets entries, or
-                                       // empty while count == 0
-
-  void record(std::uint64_t value);
-  double mean() const;
-  double quantile(double q) const;
-
-  SlotHist& operator+=(const SlotHist& o);
-
-  // Integers only (buckets trailing-zero trimmed): exact round trip.
-  runner::Json to_json() const;
-  static SlotHist from_json(const runner::Json& json);
-
-  friend bool operator==(const SlotHist&, const SlotHist&) = default;
-};
+// Kept for perfbench/net_workload.cpp, its only remaining user.
+using SlotHist = obs::Hist;
 
 // Per-station tallies; mergeable across trials with +=.
 struct StaStats {
@@ -122,9 +99,12 @@ struct StaStats {
   // frame sat at the head of the line before its winning TX started
   // (collisions extend the wait, they don't reset it; under open-loop
   // traffic the clock starts when the frame reaches an empty queue), and
-  // the spacing between consecutive winning TX starts.
-  SlotHist hol_wait_slots;
-  SlotHist inter_tx_gap_slots;
+  // the spacing between consecutive winning TX starts. Carried inside the
+  // deterministic result itself (unlike the obs registries, these exist —
+  // and merge identically — with observability compiled out, so sweep
+  // JSONs stay byte-identical ON vs OFF).
+  obs::Hist hol_wait_slots;
+  obs::Hist inter_tx_gap_slots;
 
   StaStats& operator+=(const StaStats& o);
 };

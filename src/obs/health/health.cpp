@@ -9,13 +9,6 @@
 namespace silence::obs::health {
 namespace {
 
-// Single-writer cells, same discipline as the metrics registry: plain
-// load+store beats fetch_add and is still tear-free for snapshot readers.
-inline void cell_add(std::atomic<std::uint64_t>& cell, std::uint64_t delta) {
-  cell.store(cell.load(std::memory_order_relaxed) + delta,
-             std::memory_order_relaxed);
-}
-
 constexpr std::size_t kNumCounters = static_cast<std::size_t>(Counter::kCount);
 constexpr std::size_t kNumWaterfalls =
     static_cast<std::size_t>(Waterfall::kCount);
@@ -56,52 +49,19 @@ const runner::Json& require(const runner::Json& json, std::string_view key) {
   return *value;
 }
 
-runner::Json hist_json(const HealthHist& h) {
-  runner::Json root = runner::Json::object();
-  root.set("count", static_cast<std::int64_t>(h.count));
-  root.set("sum", static_cast<std::int64_t>(h.sum));
-  root.set("min", static_cast<std::int64_t>(h.min));
-  root.set("max", static_cast<std::int64_t>(h.max));
-  std::size_t last = h.buckets.size();
-  while (last > 0 && h.buckets[last - 1] == 0) --last;
-  runner::Json tallies = runner::Json::array();
-  for (std::size_t b = 0; b < last; ++b) {
-    tallies.push_back(static_cast<std::int64_t>(h.buckets[b]));
-  }
-  root.set("buckets", std::move(tallies));
-  return root;
-}
-
-HealthHist hist_from_json(const runner::Json& json) {
-  HealthHist h;
-  h.count = static_cast<std::uint64_t>(require(json, "count").as_int());
-  h.sum = static_cast<std::uint64_t>(require(json, "sum").as_int());
-  h.min = static_cast<std::uint64_t>(require(json, "min").as_int());
-  h.max = static_cast<std::uint64_t>(require(json, "max").as_int());
-  const runner::Json& tallies = require(json, "buckets");
-  if (!tallies.is_array() || tallies.size() > kHistogramBuckets) {
-    throw std::runtime_error("health: malformed histogram buckets");
-  }
-  for (std::size_t b = 0; b < tallies.size(); ++b) {
-    h.buckets[b] =
-        static_cast<std::uint64_t>(tallies.as_array()[b].as_int());
-  }
-  return h;
-}
-
-runner::Json hist_row_json(const std::array<HealthHist, kSubcarriers>& row) {
+runner::Json hist_row_json(const std::array<Hist, kSubcarriers>& row) {
   runner::Json cells = runner::Json::array();
-  for (const HealthHist& h : row) cells.push_back(hist_json(h));
+  for (const Hist& h : row) cells.push_back(h.to_json());
   return cells;
 }
 
 void hist_row_from_json(const runner::Json& cells,
-                        std::array<HealthHist, kSubcarriers>& row) {
+                        std::array<Hist, kSubcarriers>& row) {
   if (!cells.is_array() || cells.size() != kSubcarriers) {
     throw std::runtime_error("health: subcarrier row must have 48 cells");
   }
   for (std::size_t i = 0; i < kSubcarriers; ++i) {
-    row[i] = hist_from_json(cells.as_array()[i]);
+    row[i] = Hist::from_json(cells.as_array()[i]);
   }
 }
 
@@ -119,27 +79,17 @@ const char* truth_name(Truth t) {
   return kTruthNames[static_cast<std::size_t>(t)];
 }
 
-HealthHist& HealthHist::operator+=(const HealthHist& o) {
-  if (o.count == 0) return *this;
-  if (count == 0 || o.min < min) min = o.min;
-  if (count == 0 || o.max > max) max = o.max;
-  count += o.count;
-  sum += o.sum;
-  for (std::size_t b = 0; b < buckets.size(); ++b) buckets[b] += o.buckets[b];
-  return *this;
-}
-
 bool HealthSnapshot::empty() const {
   for (const std::uint64_t c : counters) {
     if (c != 0) return false;
   }
   for (const auto& kind : waterfalls) {
-    for (const HealthHist& h : kind) {
+    for (const Hist& h : kind) {
       if (h.count != 0) return false;
     }
   }
   for (const auto& truth : scores) {
-    for (const HealthHist& h : truth) {
+    for (const Hist& h : truth) {
       if (h.count != 0) return false;
     }
   }
@@ -167,130 +117,61 @@ Registry& Registry::global() {
   return *instance;                            // registry
 }
 
-// Ties a pooled block to one thread's lifetime; returned to the free
-// list on thread exit so totals survive thread death and memory stays
-// bounded at O(peak concurrent threads).
-struct HealthBlockLease {
-  Registry* registry = nullptr;
-  Registry::ThreadBlock* block = nullptr;
-
-  Registry::ThreadBlock& acquire(Registry& reg) {
-    if (block == nullptr) {
-      registry = &reg;
-      std::lock_guard lock(reg.mutex_);
-      if (!reg.free_blocks_.empty()) {
-        block = reg.free_blocks_.back();
-        reg.free_blocks_.pop_back();
-      } else {
-        block = &reg.blocks_.emplace_back();
-      }
-    }
-    return *block;
-  }
-
-  ~HealthBlockLease() {
-    if (block != nullptr) {
-      std::lock_guard lock(registry->mutex_);
-      registry->free_blocks_.push_back(block);
-    }
-  }
-};
-
-Registry::ThreadBlock& Registry::local_block() {
-  thread_local HealthBlockLease lease;
-  return lease.acquire(*this);
-}
-
-void Registry::record_cell(HistCells& cell, std::uint64_t value) {
-  const std::uint64_t count = cell.count.load(std::memory_order_relaxed);
-  if (count == 0 || value < cell.min.load(std::memory_order_relaxed)) {
-    cell.min.store(value, std::memory_order_relaxed);
-  }
-  if (count == 0 || value > cell.max.load(std::memory_order_relaxed)) {
-    cell.max.store(value, std::memory_order_relaxed);
-  }
-  cell.count.store(count + 1, std::memory_order_relaxed);
-  cell_add(cell.sum, value);
-  cell_add(cell.buckets[histogram_bucket(value)], 1);
-}
-
 void Registry::count(Counter c, std::uint64_t delta) {
-  cell_add(local_block().counters[static_cast<std::size_t>(c)], delta);
+  cell_add(blocks_.local().counters[static_cast<std::size_t>(c)], delta);
 }
 
 void Registry::waterfall(Waterfall kind, std::size_t subcarrier,
                          std::uint64_t value) {
   if (subcarrier >= kSubcarriers) return;
-  record_cell(
-      local_block().waterfalls[static_cast<std::size_t>(kind)][subcarrier],
-      value);
+  blocks_.local()
+      .waterfalls[static_cast<std::size_t>(kind)][subcarrier]
+      .record(value);
 }
 
 void Registry::score(Truth truth, std::size_t subcarrier,
                      std::uint64_t value) {
   if (subcarrier >= kSubcarriers) return;
-  record_cell(local_block().scores[static_cast<std::size_t>(truth)][subcarrier],
-              value);
+  blocks_.local().scores[static_cast<std::size_t>(truth)][subcarrier].record(
+      value);
 }
 
 void Registry::record_nabla_evm(std::uint64_t value) {
-  record_cell(local_block().nabla_evm, value);
+  blocks_.local().nabla_evm.record(value);
 }
 
 HealthSnapshot Registry::snapshot() const {
-  std::lock_guard lock(mutex_);
   HealthSnapshot snap;
-  const auto merge_cell = [](HealthHist& into, const HistCells& cells) {
-    const std::uint64_t count = cells.count.load(std::memory_order_relaxed);
-    if (count == 0) return;
-    const std::uint64_t mn = cells.min.load(std::memory_order_relaxed);
-    const std::uint64_t mx = cells.max.load(std::memory_order_relaxed);
-    if (into.count == 0 || mn < into.min) into.min = mn;
-    if (into.count == 0 || mx > into.max) into.max = mx;
-    into.count += count;
-    into.sum += cells.sum.load(std::memory_order_relaxed);
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-      into.buckets[b] += cells.buckets[b].load(std::memory_order_relaxed);
-    }
-  };
-  for (const ThreadBlock& block : blocks_) {
+  blocks_.for_each([&snap](const ThreadBlock& block) {
     for (std::size_t i = 0; i < kNumCounters; ++i) {
       snap.counters[i] += block.counters[i].load(std::memory_order_relaxed);
     }
     for (std::size_t w = 0; w < kNumWaterfalls; ++w) {
       for (std::size_t s = 0; s < kSubcarriers; ++s) {
-        merge_cell(snap.waterfalls[w][s], block.waterfalls[w][s]);
+        block.waterfalls[w][s].add_to(snap.waterfalls[w][s]);
       }
     }
     for (std::size_t t = 0; t < kNumTruths; ++t) {
       for (std::size_t s = 0; s < kSubcarriers; ++s) {
-        merge_cell(snap.scores[t][s], block.scores[t][s]);
+        block.scores[t][s].add_to(snap.scores[t][s]);
       }
     }
-    merge_cell(snap.nabla_evm, block.nabla_evm);
-  }
+    block.nabla_evm.add_to(snap.nabla_evm);
+  });
   return snap;
 }
 
 void Registry::reset() {
-  std::lock_guard lock(mutex_);
-  const auto clear_cell = [](HistCells& cell) {
-    cell.count.store(0, std::memory_order_relaxed);
-    cell.sum.store(0, std::memory_order_relaxed);
-    cell.min.store(0, std::memory_order_relaxed);
-    cell.max.store(0, std::memory_order_relaxed);
-    for (auto& b : cell.buckets) b.store(0, std::memory_order_relaxed);
-  };
-  for (ThreadBlock& block : blocks_) {
+  blocks_.for_each([](ThreadBlock& block) {
     for (auto& c : block.counters) c.store(0, std::memory_order_relaxed);
     for (auto& kind : block.waterfalls) {
-      for (auto& cell : kind) clear_cell(cell);
+      for (HistCells& cell : kind) cell.clear();
     }
     for (auto& truth : block.scores) {
-      for (auto& cell : truth) clear_cell(cell);
+      for (HistCells& cell : truth) cell.clear();
     }
-    clear_cell(block.nabla_evm);
-  }
+    block.nabla_evm.clear();
+  });
 }
 
 std::uint64_t quantize(double value, double scale) {
@@ -344,7 +225,7 @@ runner::Json health_json(const HealthSnapshot& snapshot) {
     detector.set(kTruthNames[t], hist_row_json(snapshot.scores[t]));
   }
   root.set("detector", std::move(detector));
-  root.set("nabla_evm_x4096", hist_json(snapshot.nabla_evm));
+  root.set("nabla_evm_x4096", snapshot.nabla_evm.to_json());
   return root;
 }
 
@@ -369,7 +250,7 @@ HealthSnapshot health_from_json(const runner::Json& doc) {
   for (std::size_t t = 0; t < kNumTruths; ++t) {
     hist_row_from_json(require(detector, kTruthNames[t]), snap.scores[t]);
   }
-  snap.nabla_evm = hist_from_json(require(doc, "nabla_evm_x4096"));
+  snap.nabla_evm = Hist::from_json(require(doc, "nabla_evm_x4096"));
   return snap;
 }
 
@@ -388,7 +269,7 @@ void maybe_trace_counters() {
   }
   const HealthSnapshot snap = Registry::global().snapshot();
   std::uint64_t evm_count = 0, evm_sum = 0;
-  for (const HealthHist& h :
+  for (const Hist& h :
        snap.waterfalls[static_cast<std::size_t>(Waterfall::kEvm)]) {
     evm_count += h.count;
     evm_sum += h.sum;
@@ -400,7 +281,7 @@ void maybe_trace_counters() {
   }
   std::uint64_t score_count = 0, score_sum = 0;
   for (const auto& truth : snap.scores) {
-    for (const HealthHist& h : truth) {
+    for (const Hist& h : truth) {
       score_count += h.count;
       score_sum += h.sum;
     }

@@ -8,11 +8,11 @@
 // enum-indexed cell layout: 3 waterfall kinds x 48 subcarriers, 2 ground
 // truths x 48 detector cells, one nabla-EVM drift cell and a small set of
 // audit counters. Hot paths record through the HEALTH_* macros below;
-// writes land in pooled per-thread blocks of relaxed atomics exactly like
-// the metrics registry (single writer per block), and every accumulated
-// quantity is an unsigned integer, so merging blocks — or fabric shards —
-// by summation is order-independent and a snapshot of the same recorded
-// values is byte-identical at any thread or worker count.
+// writes land in the same pooled per-thread blocks (obs/block_pool.h) and
+// obs::HistCells as the metrics registry, and every cell merges as an
+// obs::Hist, so merging blocks — or fabric shards — is order-independent
+// and a snapshot of the same recorded values is byte-identical at any
+// thread or worker count.
 //
 // All recorded values are fixed-point quantizations (scales below); the
 // detector score additionally carries its decision in the quantization:
@@ -34,11 +34,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <vector>
 
-#include "obs/metrics.h"  // kHistogramBuckets, histogram_bucket, SILENCE_OBS
+#include "obs/block_pool.h"
+#include "obs/hist.h"
 #include "obs/obs.h"
 #include "runner/json.h"
 
@@ -102,22 +101,6 @@ const char* counter_name(Counter c);
 const char* waterfall_name(Waterfall w);  // "snr_x256", "evm_x4096", ...
 const char* truth_name(Truth t);          // "active", "silent"
 
-// One histogram cell: same integer quintuple as obs::HistogramSnapshot.
-struct HealthHist {
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;  // meaningful only when count > 0
-  std::uint64_t max = 0;
-  std::array<std::uint64_t, kHistogramBuckets> buckets{};
-
-  double mean() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(count);
-  }
-  HealthHist& operator+=(const HealthHist& o);
-  friend bool operator==(const HealthHist&, const HealthHist&) = default;
-};
-
 // Deterministic merged view of every thread block. Integer-only, so
 // operator+= (used for the fabric shard merge) is exact and
 // order-independent.
@@ -125,14 +108,14 @@ struct HealthSnapshot {
   std::array<std::uint64_t, static_cast<std::size_t>(Counter::kCount)>
       counters{};
   // waterfalls[kind][subcarrier]
-  std::array<std::array<HealthHist, kSubcarriers>,
+  std::array<std::array<Hist, kSubcarriers>,
              static_cast<std::size_t>(Waterfall::kCount)>
       waterfalls{};
   // scores[truth][subcarrier]
-  std::array<std::array<HealthHist, kSubcarriers>,
+  std::array<std::array<Hist, kSubcarriers>,
              static_cast<std::size_t>(Truth::kCount)>
       scores{};
-  HealthHist nabla_evm{};
+  Hist nabla_evm{};
 
   bool empty() const;
   HealthSnapshot& operator+=(const HealthSnapshot& o);
@@ -159,13 +142,6 @@ class Registry {
   void reset();
 
  private:
-  struct HistCells {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<std::uint64_t> min{0};
-    std::atomic<std::uint64_t> max{0};
-    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-  };
   // 241 histogram cells (~85 KB) + counters per concurrent thread.
   struct ThreadBlock {
     std::array<std::atomic<std::uint64_t>,
@@ -181,13 +157,8 @@ class Registry {
   };
 
   Registry() = default;
-  ThreadBlock& local_block();
-  static void record_cell(HistCells& cell, std::uint64_t value);
-  friend struct HealthBlockLease;
 
-  mutable std::mutex mutex_;
-  std::deque<ThreadBlock> blocks_;         // stable addresses, never shrink
-  std::vector<ThreadBlock*> free_blocks_;  // returned by dead threads
+  BlockPool<ThreadBlock> blocks_;
 };
 
 // --- Quantization helpers (pure; usable in both ON and OFF builds) -----

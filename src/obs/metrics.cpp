@@ -1,9 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cstdio>
+#include <map>
 #include <stdexcept>
 
 namespace silence::obs {
@@ -23,71 +22,7 @@ std::uint32_t intern(std::vector<std::string>& names, std::string_view name,
   return static_cast<std::uint32_t>(names.size() - 1);
 }
 
-// Single-writer cells: plain load+store beats fetch_add (no lock prefix)
-// and is still tear-free for concurrent snapshot readers.
-inline void cell_add(std::atomic<std::uint64_t>& cell, std::uint64_t delta) {
-  cell.store(cell.load(std::memory_order_relaxed) + delta,
-             std::memory_order_relaxed);
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 }  // namespace
-
-std::size_t histogram_bucket(std::uint64_t value) {
-  if (value == 0) return 0;
-  return std::min<std::size_t>(std::bit_width(value), kHistogramBuckets - 1);
-}
-
-std::uint64_t histogram_bucket_floor(std::size_t index) {
-  if (index == 0) return 0;
-  return std::uint64_t{1} << (index - 1);
-}
-
-double HistogramSnapshot::quantile(double q) const {
-  if (count == 0) return 0.0;
-  if (q <= 0.0) return static_cast<double>(min);
-  if (q >= 1.0) return static_cast<double>(max);
-  const double target = q * static_cast<double>(count);
-  double cumulative = 0.0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    const double n = static_cast<double>(buckets[b]);
-    if (n == 0.0) continue;
-    if (cumulative + n >= target) {
-      const double lower = static_cast<double>(histogram_bucket_floor(b));
-      // The last bucket is open-ended; the observed max bounds it.
-      const double upper =
-          b + 1 < buckets.size()
-              ? static_cast<double>(histogram_bucket_floor(b + 1))
-              : static_cast<double>(max);
-      const double fraction = (target - cumulative) / n;
-      const double value = lower + fraction * (upper - lower);
-      return std::clamp(value, static_cast<double>(min),
-                        static_cast<double>(max));
-    }
-    cumulative += n;
-  }
-  return static_cast<double>(max);
-}
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -124,40 +59,6 @@ Registry& Registry::global() {
   return *instance;
 }
 
-// Ties a pooled block to the lifetime of one thread: acquired on the
-// thread's first recording, returned to the free list when it exits so a
-// later thread can continue accumulating into the same cells.
-struct ThreadBlockLease {
-  Registry* registry = nullptr;
-  Registry::ThreadBlock* block = nullptr;
-
-  Registry::ThreadBlock& acquire(Registry& reg) {
-    if (block == nullptr) {
-      registry = &reg;
-      std::lock_guard lock(reg.mutex_);
-      if (!reg.free_blocks_.empty()) {
-        block = reg.free_blocks_.back();
-        reg.free_blocks_.pop_back();
-      } else {
-        block = &reg.blocks_.emplace_back();
-      }
-    }
-    return *block;
-  }
-
-  ~ThreadBlockLease() {
-    if (block != nullptr) {
-      std::lock_guard lock(registry->mutex_);
-      registry->free_blocks_.push_back(block);
-    }
-  }
-};
-
-Registry::ThreadBlock& Registry::local_block() {
-  thread_local ThreadBlockLease lease;
-  return lease.acquire(*this);
-}
-
 std::uint32_t Registry::counter_id(std::string_view name) {
   std::lock_guard lock(mutex_);
   return intern(counter_names_, name, kMaxCounters, "counter");
@@ -174,7 +75,7 @@ std::uint32_t Registry::histogram_id(std::string_view name) {
 }
 
 void Registry::counter_add(std::uint32_t id, std::uint64_t delta) {
-  cell_add(local_block().counters[id], delta);
+  cell_add(blocks_.local().counters[id], delta);
 }
 
 void Registry::gauge_set(std::uint32_t id, std::int64_t value) {
@@ -183,17 +84,7 @@ void Registry::gauge_set(std::uint32_t id, std::int64_t value) {
 }
 
 void Registry::histogram_record(std::uint32_t id, std::uint64_t value) {
-  HistogramCells& h = local_block().histograms[id];
-  const std::uint64_t count = h.count.load(std::memory_order_relaxed);
-  if (count == 0 || value < h.min.load(std::memory_order_relaxed)) {
-    h.min.store(value, std::memory_order_relaxed);
-  }
-  if (count == 0 || value > h.max.load(std::memory_order_relaxed)) {
-    h.max.store(value, std::memory_order_relaxed);
-  }
-  h.count.store(count + 1, std::memory_order_relaxed);
-  cell_add(h.sum, value);
-  cell_add(h.buckets[histogram_bucket(value)], 1);
+  blocks_.local().histograms[id].record(value);
 }
 
 MetricsSnapshot Registry::snapshot() const {
@@ -207,29 +98,16 @@ MetricsSnapshot Registry::snapshot() const {
   snap.histograms.resize(histogram_names_.size());
   for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
     snap.histograms[i].name = histogram_names_[i];
-    snap.histograms[i].buckets.assign(kHistogramBuckets, 0);
   }
-  for (const ThreadBlock& block : blocks_) {
+  blocks_.for_each([&snap](const ThreadBlock& block) {
     for (std::size_t i = 0; i < snap.counters.size(); ++i) {
       snap.counters[i].value +=
           block.counters[i].load(std::memory_order_relaxed);
     }
     for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-      const HistogramCells& cells = block.histograms[i];
-      const std::uint64_t count = cells.count.load(std::memory_order_relaxed);
-      if (count == 0) continue;
-      HistogramSnapshot& h = snap.histograms[i];
-      const std::uint64_t mn = cells.min.load(std::memory_order_relaxed);
-      const std::uint64_t mx = cells.max.load(std::memory_order_relaxed);
-      if (h.count == 0 || mn < h.min) h.min = mn;
-      if (h.count == 0 || mx > h.max) h.max = mx;
-      h.count += count;
-      h.sum += cells.sum.load(std::memory_order_relaxed);
-      for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-        h.buckets[b] += cells.buckets[b].load(std::memory_order_relaxed);
-      }
+      block.histograms[i].add_to(snap.histograms[i]);
     }
-  }
+  });
   for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
     if (!gauge_set_[i].load(std::memory_order_relaxed)) continue;
     snap.gauges.push_back(
@@ -247,65 +125,67 @@ MetricsSnapshot Registry::snapshot() const {
 
 void Registry::reset() {
   std::lock_guard lock(mutex_);
-  for (ThreadBlock& block : blocks_) {
+  blocks_.for_each([](ThreadBlock& block) {
     for (auto& c : block.counters) c.store(0, std::memory_order_relaxed);
-    for (auto& h : block.histograms) {
-      h.count.store(0, std::memory_order_relaxed);
-      h.sum.store(0, std::memory_order_relaxed);
-      h.min.store(0, std::memory_order_relaxed);
-      h.max.store(0, std::memory_order_relaxed);
-      for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
-    }
-  }
+    for (auto& h : block.histograms) h.clear();
+  });
   for (auto& g : gauges_) g.store(0, std::memory_order_relaxed);
   for (auto& s : gauge_set_) s.store(false, std::memory_order_relaxed);
 }
 
-std::string metrics_to_json(const MetricsSnapshot& snapshot) {
-  std::string out = "{\n    \"counters\": {";
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "      ";
-    append_escaped(out, snapshot.counters[i].name);
-    out += ": " + std::to_string(snapshot.counters[i].value);
+runner::Json metrics_json(const MetricsSnapshot& snapshot) {
+  runner::Json root = runner::Json::object();
+  runner::Json counters = runner::Json::object();
+  for (const auto& c : snapshot.counters) {
+    counters.set(c.name, static_cast<std::int64_t>(c.value));
   }
-  out += snapshot.counters.empty() ? "},\n" : "\n    },\n";
-  out += "    \"gauges\": {";
-  for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "      ";
-    append_escaped(out, snapshot.gauges[i].name);
-    out += ": " + std::to_string(snapshot.gauges[i].value);
+  root.set("counters", std::move(counters));
+  runner::Json gauges = runner::Json::object();
+  for (const auto& g : snapshot.gauges) gauges.set(g.name, g.value);
+  root.set("gauges", std::move(gauges));
+  runner::Json histograms = runner::Json::object();
+  for (const auto& h : snapshot.histograms) {
+    histograms.set(h.name, h.summary_json());
   }
-  out += snapshot.gauges.empty() ? "},\n" : "\n    },\n";
-  out += "    \"histograms\": {";
-  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const HistogramSnapshot& h = snapshot.histograms[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "      ";
-    append_escaped(out, h.name);
-    out += ": {\"count\": " + std::to_string(h.count);
-    out += ", \"sum\": " + std::to_string(h.sum);
-    out += ", \"min\": " + std::to_string(h.min);
-    out += ", \"max\": " + std::to_string(h.max);
-    // Trailing empty buckets are elided; floors make the file
-    // self-describing.
-    std::size_t last = h.buckets.size();
-    while (last > 0 && h.buckets[last - 1] == 0) --last;
-    out += ", \"bucket_floors\": [";
-    for (std::size_t b = 0; b < last; ++b) {
-      if (b > 0) out += ", ";
-      out += std::to_string(histogram_bucket_floor(b));
+  root.set("histograms", std::move(histograms));
+  return root;
+}
+
+runner::Json merge_metrics_json(const std::vector<runner::Json>& docs) {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::int64_t> gauges;
+  std::map<std::string, Hist> histograms;
+
+  const auto section = [](const runner::Json& doc, std::string_view key) {
+    static const runner::Json empty = runner::Json::object();
+    const runner::Json* value = doc.find(key);
+    if (value == nullptr) return &empty;
+    if (!value->is_object()) {
+      throw std::runtime_error("merge_metrics_json: '" + std::string(key) +
+                               "' is not an object");
     }
-    out += "], \"buckets\": [";
-    for (std::size_t b = 0; b < last; ++b) {
-      if (b > 0) out += ", ";
-      out += std::to_string(h.buckets[b]);
+    return value;
+  };
+
+  for (const runner::Json& doc : docs) {
+    for (const auto& [name, value] : section(doc, "counters")->as_object()) {
+      counters[name] += static_cast<std::uint64_t>(value.as_int());
     }
-    out += "]}";
+    for (const auto& [name, value] : section(doc, "gauges")->as_object()) {
+      const std::int64_t v = value.as_int();
+      const auto [it, inserted] = gauges.emplace(name, v);
+      if (!inserted && v > it->second) it->second = v;
+    }
+    for (const auto& [name, value] : section(doc, "histograms")->as_object()) {
+      histograms[name] += Hist::from_json(value);
+    }
   }
-  out += snapshot.histograms.empty() ? "}\n  }" : "\n    }\n  }";
-  return out;
+
+  MetricsSnapshot merged;
+  for (auto& [name, value] : counters) merged.counters.push_back({name, value});
+  for (auto& [name, value] : gauges) merged.gauges.push_back({name, value});
+  for (auto& [name, h] : histograms) merged.histograms.push_back({h, name});
+  return metrics_json(merged);
 }
 
 }  // namespace silence::obs

@@ -2,17 +2,10 @@
 // histograms for the whole pipeline (phy.tx.*, phy.rx.*, cos.*, chan.*,
 // sim.*, runner.*).
 //
-// Hot-path writes go to a per-thread block of relaxed atomics — a block
-// is owned by exactly one live thread at a time (single writer), so an
-// increment is a load+store pair on an uncontended cache line, with no
-// locks and no RMW contention. Blocks are pooled: a thread picks a free
-// block on first use and returns it on exit, so totals survive thread
-// death and memory stays bounded at O(peak concurrent threads).
-//
-// Merging is deterministic by construction: every accumulated quantity
-// is an unsigned integer (counts, sums of integer values, bucket tallies,
-// min/max), so summing blocks is order-independent and a snapshot of the
-// same recorded values is identical at any thread count. Snapshots list
+// Hot-path writes go to pooled per-thread blocks of relaxed atomics
+// (obs/block_pool.h); histograms record into obs::HistCells and merge as
+// obs::Hist (obs/hist.h), whose integer-only fields make a snapshot of
+// the same recorded values identical at any thread count. Snapshots list
 // metrics sorted by name, independent of registration order.
 //
 // Instrumentation sites should not call this API directly — use the
@@ -23,11 +16,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/block_pool.h"
+#include "obs/hist.h"
+#include "runner/json.h"
 
 namespace silence::obs {
 
@@ -35,17 +31,6 @@ namespace silence::obs {
 inline constexpr std::size_t kMaxCounters = 256;
 inline constexpr std::size_t kMaxGauges = 64;
 inline constexpr std::size_t kMaxHistograms = 512;
-
-// Power-of-two buckets: bucket 0 counts value 0, bucket b >= 1 counts
-// values with bit_width b, i.e. [2^(b-1), 2^b); the last bucket is
-// open-ended. 40 buckets cover every duration up to ~2^39 ns (~9 min).
-inline constexpr std::size_t kHistogramBuckets = 40;
-
-// Bucket index for a recorded value (exposed for tests).
-std::size_t histogram_bucket(std::uint64_t value);
-
-// Inclusive lower bound of bucket `index`.
-std::uint64_t histogram_bucket_floor(std::size_t index);
 
 // Monotonic wall-time in nanoseconds (steady_clock).
 std::uint64_t now_ns();
@@ -60,25 +45,9 @@ struct GaugeSnapshot {
   std::int64_t value = 0;
 };
 
-struct HistogramSnapshot {
+// One registry histogram: its merged cells under its interned name.
+struct HistogramSnapshot : Hist {
   std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;  // meaningful only when count > 0
-  std::uint64_t max = 0;
-  std::vector<std::uint64_t> buckets;  // kHistogramBuckets entries
-
-  double mean() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(count);
-  }
-
-  // Bucket-interpolated quantile estimate (q in [0, 1]): finds the bucket
-  // holding the q-th sample and interpolates linearly inside it, clamped
-  // to the observed [min, max]. Power-of-two buckets bound the relative
-  // error by the bucket width (a factor of 2); exact at q = 0 and q = 1.
-  // Returns 0 for an empty histogram.
-  double quantile(double q) const;
 };
 
 struct MetricsSnapshot {
@@ -95,10 +64,19 @@ struct MetricsSnapshot {
   const HistogramSnapshot* histogram(std::string_view name) const;
 };
 
-// Renders a snapshot as a JSON object string (counters/gauges/histograms
-// keyed by name) — the form embedded into trace files. Sorted input makes
-// the output deterministic.
-std::string metrics_to_json(const MetricsSnapshot& snapshot);
+// The snapshot as a JSON object: counters, gauges and histograms keyed
+// by metric name, each histogram in Hist::summary_json() form. Sorted
+// input makes the output deterministic. This is the `.metrics.json`
+// sidecar and the "metrics" section of a trace file.
+runner::Json metrics_json(const MetricsSnapshot& snapshot);
+
+// Deterministic merge of several metrics_json() documents (e.g. one per
+// fabric worker plus the supervisor's own snapshot): counters are summed,
+// gauges take the maximum, histograms merge as Hist with mean / p50 /
+// p95 / p99 recomputed from the combined buckets. Output follows the
+// metrics_json() schema with every section sorted by name. Throws
+// std::runtime_error on a malformed document.
+runner::Json merge_metrics_json(const std::vector<runner::Json>& docs);
 
 class Registry {
  public:
@@ -128,28 +106,18 @@ class Registry {
   void reset();
 
  private:
-  struct HistogramCells {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<std::uint64_t> min{0};
-    std::atomic<std::uint64_t> max{0};
-    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-  };
   struct ThreadBlock {
     std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-    std::array<HistogramCells, kMaxHistograms> histograms{};
+    std::array<HistCells, kMaxHistograms> histograms{};
   };
 
   Registry() = default;
-  ThreadBlock& local_block();
-  friend struct ThreadBlockLease;
 
-  mutable std::mutex mutex_;
+  mutable std::mutex mutex_;  // guards the name tables
   std::vector<std::string> counter_names_;
   std::vector<std::string> gauge_names_;
   std::vector<std::string> histogram_names_;
-  std::deque<ThreadBlock> blocks_;       // stable addresses, never shrinks
-  std::vector<ThreadBlock*> free_blocks_;  // returned by dead threads
+  BlockPool<ThreadBlock> blocks_;
   std::array<std::atomic<std::int64_t>, kMaxGauges> gauges_{};
   std::array<std::atomic<bool>, kMaxGauges> gauge_set_{};
 };

@@ -304,7 +304,7 @@ std::string Tracer::to_json() {
   }
   out += first ? "],\n" : "\n  ],\n";
   out += "  \"metrics\": ";
-  out += metrics_to_json(Registry::global().snapshot());
+  out += metrics_json(Registry::global().snapshot()).dump_compact();
   out += "\n}\n";
   return out;
 }

@@ -5,11 +5,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <map>
 #include <stdexcept>
-#include <variant>
 
 #include "obs/health/health.h"
+#include "obs/metrics.h"
 
 namespace silence::runner {
 
@@ -119,116 +118,6 @@ std::string health_sidecar_path(const std::string& json_path) {
   return path + ".health.json";
 }
 
-Json metrics_json(const obs::MetricsSnapshot& snapshot) {
-  Json root = Json::object();
-  Json counters = Json::object();
-  for (const auto& c : snapshot.counters) {
-    counters.set(c.name, static_cast<std::int64_t>(c.value));
-  }
-  root.set("counters", std::move(counters));
-  Json gauges = Json::object();
-  for (const auto& g : snapshot.gauges) {
-    gauges.set(g.name, static_cast<std::int64_t>(g.value));
-  }
-  root.set("gauges", std::move(gauges));
-  Json histograms = Json::object();
-  for (const auto& h : snapshot.histograms) {
-    Json entry = Json::object();
-    entry.set("count", static_cast<std::int64_t>(h.count));
-    entry.set("sum", static_cast<std::int64_t>(h.sum));
-    entry.set("min", static_cast<std::int64_t>(h.min));
-    entry.set("max", static_cast<std::int64_t>(h.max));
-    entry.set("mean", h.mean());
-    // Bucket-interpolated latency quantiles. Appended after the legacy
-    // fields, so pre-existing keys keep their exact bytes.
-    entry.set("p50", h.quantile(0.50));
-    entry.set("p95", h.quantile(0.95));
-    entry.set("p99", h.quantile(0.99));
-    std::size_t last = h.buckets.size();
-    while (last > 0 && h.buckets[last - 1] == 0) --last;
-    Json floors = Json::array();
-    Json buckets = Json::array();
-    for (std::size_t b = 0; b < last; ++b) {
-      floors.push_back(
-          static_cast<std::int64_t>(obs::histogram_bucket_floor(b)));
-      buckets.push_back(static_cast<std::int64_t>(h.buckets[b]));
-    }
-    entry.set("bucket_floors", std::move(floors));
-    entry.set("buckets", std::move(buckets));
-    histograms.set(h.name, std::move(entry));
-  }
-  root.set("histograms", std::move(histograms));
-  return root;
-}
-
-Json merge_metrics_json(const std::vector<Json>& docs) {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
-  std::map<std::string, obs::HistogramSnapshot> histograms;
-
-  const auto section = [](const Json& doc, std::string_view key) {
-    static const Json empty = Json::object();
-    const Json* value = doc.find(key);
-    if (value == nullptr) return &empty;
-    if (!value->is_object()) {
-      throw std::runtime_error("merge_metrics_json: '" + std::string(key) +
-                               "' is not an object");
-    }
-    return value;
-  };
-
-  for (const Json& doc : docs) {
-    for (const auto& [name, value] : section(doc, "counters")->as_object()) {
-      counters[name] += static_cast<std::uint64_t>(value.as_int());
-    }
-    for (const auto& [name, value] : section(doc, "gauges")->as_object()) {
-      const std::int64_t v = value.as_int();
-      const auto [it, inserted] = gauges.emplace(name, v);
-      if (!inserted && v > it->second) it->second = v;
-    }
-    for (const auto& [name, value] : section(doc, "histograms")->as_object()) {
-      const auto field = [&](std::string_view key) -> const Json& {
-        const Json* f = value.find(key);
-        if (f == nullptr) {
-          throw std::runtime_error("merge_metrics_json: histogram '" + name +
-                                   "' missing '" + std::string(key) + "'");
-        }
-        return *f;
-      };
-      obs::HistogramSnapshot& h = histograms[name];
-      h.name = name;
-      h.buckets.resize(obs::kHistogramBuckets, 0);
-      const std::uint64_t count =
-          static_cast<std::uint64_t>(field("count").as_int());
-      if (count == 0) continue;
-      const std::uint64_t min =
-          static_cast<std::uint64_t>(field("min").as_int());
-      const std::uint64_t max =
-          static_cast<std::uint64_t>(field("max").as_int());
-      if (h.count == 0 || min < h.min) h.min = min;
-      if (h.count == 0 || max > h.max) h.max = max;
-      h.count += count;
-      h.sum += static_cast<std::uint64_t>(field("sum").as_int());
-      // metrics_json trims trailing zero buckets, so position == bucket
-      // index for everything it kept.
-      const Json::Array& buckets = field("buckets").as_array();
-      if (buckets.size() > obs::kHistogramBuckets) {
-        throw std::runtime_error("merge_metrics_json: histogram '" + name +
-                                 "' has too many buckets");
-      }
-      for (std::size_t b = 0; b < buckets.size(); ++b) {
-        h.buckets[b] += static_cast<std::uint64_t>(buckets[b].as_int());
-      }
-    }
-  }
-
-  obs::MetricsSnapshot merged;
-  for (auto& [name, value] : counters) merged.counters.push_back({name, value});
-  for (auto& [name, value] : gauges) merged.gauges.push_back({name, value});
-  for (auto& [name, h] : histograms) merged.histograms.push_back(std::move(h));
-  return metrics_json(merged);
-}
-
 void JsonSink::write(const SweepReport& report) {
   write_json_file(path_, payload(report));
 
@@ -245,7 +134,7 @@ void JsonSink::write(const SweepReport& report) {
   // deterministic, but the .ns histograms are wall-clock.
   const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
   if (!snapshot.empty()) {
-    write_json_file(metrics_sidecar_path(path_), metrics_json(snapshot));
+    write_json_file(metrics_sidecar_path(path_), obs::metrics_json(snapshot));
   }
 
   // Health sidecar: every quantity seed-deterministic, so the file is

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "runner/json.h"
 
 namespace silence::runner {
@@ -90,18 +89,5 @@ std::string telemetry_sidecar_path(const std::string& json_path);
 // snapshot; see obs/health/health.h). Written only when the health
 // registry recorded anything, i.e. never under SILENCE_OBS=OFF.
 std::string health_sidecar_path(const std::string& json_path);
-
-// The obs snapshot rendered as a runner::Json object (counters, gauges,
-// histograms keyed by metric name). Used for the metrics sidecar and by
-// perf_phy's stage-throughput record.
-Json metrics_json(const obs::MetricsSnapshot& snapshot);
-
-// Deterministic merge of several metrics_json() documents (e.g. one per
-// fabric worker plus the supervisor's own snapshot): counters are summed,
-// gauges take the maximum, histograms are merged bucket-wise with mean /
-// p50 / p95 / p99 recomputed from the combined buckets. Output follows
-// the metrics_json() schema with every section sorted by name. Throws
-// std::runtime_error on a malformed document.
-Json merge_metrics_json(const std::vector<Json>& docs);
 
 }  // namespace silence::runner

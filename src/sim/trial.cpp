@@ -44,14 +44,14 @@ void record_labeled_scores(const SilenceMask& planned,
     const bool truth_silent =
         planned[s.symbol][static_cast<std::size_t>(s.subcarrier)] != 0;
     HEALTH_SCORE(truth_silent, s.subcarrier, s.score_x256);
-    const bool declared_silent =
+    const bool detector_silent =
         s.score_x256 < obs::health::kScoreThreshold;
     if (truth_silent) {
       HEALTH_COUNT(kTruthSilent);
-      if (!declared_silent) HEALTH_COUNT(kMisses);
+      if (!detector_silent) HEALTH_COUNT(kMisses);
     } else {
       HEALTH_COUNT(kTruthActive);
-      if (declared_silent) HEALTH_COUNT(kFalseAlarms);
+      if (detector_silent) HEALTH_COUNT(kFalseAlarms);
     }
   }
 }

@@ -73,7 +73,7 @@ TEST(HealthRegistry, CountersAndCellsAccumulate) {
   reg.score(Truth::kSilent, 0, 100);
   const HealthSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counters[static_cast<std::size_t>(Counter::kMisses)], 5u);
-  const HealthHist& evm =
+  const Hist& evm =
       snap.waterfalls[static_cast<std::size_t>(Waterfall::kEvm)][7];
   EXPECT_EQ(evm.count, 2u);
   EXPECT_EQ(evm.sum, 50u);
@@ -179,6 +179,13 @@ TEST(HealthJson, MalformedDocumentThrows) {
   EXPECT_THROW(
       health_from_json(runner::Json::parse("{\"schema\": \"bogus\"}")),
       std::runtime_error);
+  // A negative tally in any cell (here a corrupt shard's nabla-EVM count)
+  // must fail rather than wrap to 2^64 - 1 in the merge.
+  runner::Json negative = health_json(HealthSnapshot{});
+  runner::Json cell = Hist{}.to_json();
+  cell.set("count", -1);
+  negative.set("nabla_evm_x4096", std::move(cell));
+  EXPECT_THROW(health_from_json(negative), std::runtime_error);
 }
 
 }  // namespace

@@ -163,7 +163,7 @@ std::string run_partitioned_workload(unsigned threads) {
   }
   for (auto& th : pool) th.join();
   reg.gauge_set(gid, static_cast<std::int64_t>(kTotal));
-  return metrics_to_json(reg.snapshot());
+  return metrics_json(reg.snapshot()).dump();
 }
 
 TEST_F(MetricsTest, MergeIsDeterministicAcrossThreadCounts) {
@@ -194,26 +194,19 @@ TEST_F(MetricsTest, ConcurrentWritersAllLand) {
             kThreads * kPerThread);
 }
 
-HistogramSnapshot histogram_of(const std::vector<std::uint64_t>& values) {
-  HistogramSnapshot h;
-  h.buckets.assign(kHistogramBuckets, 0);
-  for (const std::uint64_t v : values) {
-    if (h.count == 0 || v < h.min) h.min = v;
-    if (h.count == 0 || v > h.max) h.max = v;
-    ++h.count;
-    h.sum += v;
-    ++h.buckets[histogram_bucket(v)];
-  }
+Hist histogram_of(const std::vector<std::uint64_t>& values) {
+  Hist h;
+  for (const std::uint64_t v : values) h.record(v);
   return h;
 }
 
 TEST(HistogramQuantile, EmptyHistogramIsZero) {
-  const HistogramSnapshot h = histogram_of({});
+  const Hist h = histogram_of({});
   EXPECT_EQ(h.quantile(0.5), 0.0);
 }
 
 TEST(HistogramQuantile, ExtremesAreExact) {
-  const HistogramSnapshot h = histogram_of({3, 100, 9000});
+  const Hist h = histogram_of({3, 100, 9000});
   EXPECT_EQ(h.quantile(0.0), 3.0);
   EXPECT_EQ(h.quantile(-1.0), 3.0);
   EXPECT_EQ(h.quantile(1.0), 9000.0);
@@ -223,7 +216,7 @@ TEST(HistogramQuantile, ExtremesAreExact) {
 TEST(HistogramQuantile, InterpolatesWithinABucket) {
   // 100 samples of the same value: every quantile must clamp to it —
   // bucket interpolation cannot wander outside the observed range.
-  const HistogramSnapshot h =
+  const Hist h =
       histogram_of(std::vector<std::uint64_t>(100, 700));
   EXPECT_EQ(h.quantile(0.50), 700.0);
   EXPECT_EQ(h.quantile(0.99), 700.0);
@@ -235,7 +228,7 @@ TEST(HistogramQuantile, SplitsMassAcrossBuckets) {
   // the upper one, bounded by the observed max.
   std::vector<std::uint64_t> values(10, 1);
   values.insert(values.end(), 10, 1500);
-  const HistogramSnapshot h = histogram_of(values);
+  const Hist h = histogram_of(values);
   const double p50 = h.quantile(0.50);
   const double p95 = h.quantile(0.95);
   const double p99 = h.quantile(0.99);

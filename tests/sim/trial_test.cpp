@@ -127,24 +127,19 @@ TEST(CosTrialHealth, ScoreHistogramsReproduceConfusionCountsExactly) {
   EXPECT_EQ(counter(health::Counter::kMisses), totals.false_neg);
   EXPECT_EQ(counter(health::Counter::kFalseAlarms), totals.false_pos);
 
-  // Independently from the histograms: buckets 0..8 hold exactly the
-  // scores 0..255, i.e. the declared-silent cells.
-  const std::size_t boundary =
-      obs::histogram_bucket(health::kScoreThreshold - 1);
-  std::uint64_t silent_total = 0, silent_below = 0;
-  std::uint64_t active_total = 0, active_below = 0;
+  // Independently from the counters: buckets 0..8 hold exactly the
+  // scores 0..255 (below the bucket floor 256), i.e. the declared-silent
+  // cells.
+  const std::size_t threshold = obs::histogram_bucket(health::kScoreThreshold);
+  obs::Hist silent, active;
   for (std::size_t sc = 0; sc < health::kSubcarriers; ++sc) {
-    const health::HealthHist& s =
-        snap.scores[static_cast<std::size_t>(health::Truth::kSilent)][sc];
-    const health::HealthHist& a =
-        snap.scores[static_cast<std::size_t>(health::Truth::kActive)][sc];
-    silent_total += s.count;
-    active_total += a.count;
-    for (std::size_t b = 0; b <= boundary; ++b) {
-      silent_below += s.buckets[b];
-      active_below += a.buckets[b];
-    }
+    silent += snap.scores[static_cast<std::size_t>(health::Truth::kSilent)][sc];
+    active += snap.scores[static_cast<std::size_t>(health::Truth::kActive)][sc];
   }
+  const std::uint64_t silent_total = silent.count;
+  const std::uint64_t active_total = active.count;
+  const std::uint64_t silent_below = silent.count_below(threshold);
+  const std::uint64_t active_below = active.count_below(threshold);
   EXPECT_EQ(silent_total, totals.silent);
   EXPECT_EQ(active_total, totals.active);
   EXPECT_EQ(silent_total - silent_below, totals.false_neg);  // misses

@@ -26,7 +26,7 @@
 // shards' worker sidecars. A sweep that exits nonzero fails the whole
 // campaign. Afterwards the dashboard aggregates across sweeps: counters
 // summed, gauges maxed, histograms merged bucket-wise with p50/p95/p99
-// recomputed from the combined buckets (runner::merge_metrics_json),
+// recomputed from the combined buckets (obs::merge_metrics_json),
 // plus per-sweep wall-clock/trial totals from the .timing.json sidecars
 // and an exact integer merge of the .health.json PHY-health sidecars.
 //
@@ -42,7 +42,9 @@
 #include <vector>
 
 #include "fabric/process.h"
+#include "fabric/telemetry.h"
 #include "obs/health/health.h"
+#include "obs/metrics.h"
 #include "runner/json.h"
 #include "runner/sinks.h"
 
@@ -121,20 +123,6 @@ std::string join(const std::vector<std::string>& argv) {
   return line;
 }
 
-// Exact quantile over a sorted sample list (linear interpolation between
-// order statistics) — mirrors fabric::Telemetry, so the campaign-level
-// attempt-duration quantiles are recomputed from the pooled samples
-// instead of averaging per-sweep percentiles.
-double quantile_of(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
 // Rolls the per-sweep fabric .telemetry.json sidecars up into one
 // campaign-level view: event counts summed, attempt durations pooled
 // (quantiles recomputed), utilization weighted by each sweep's
@@ -194,9 +182,9 @@ Json merge_fabric_telemetry(const std::vector<Json>& docs) {
   quant.set("count", static_cast<std::int64_t>(attempt_seconds.size()));
   quant.set("min", attempt_seconds.empty() ? 0.0 : attempt_seconds.front());
   quant.set("max", attempt_seconds.empty() ? 0.0 : attempt_seconds.back());
-  quant.set("p50", quantile_of(attempt_seconds, 0.50));
-  quant.set("p95", quantile_of(attempt_seconds, 0.95));
-  quant.set("p99", quantile_of(attempt_seconds, 0.99));
+  quant.set("p50", silence::fabric::quantile_of(attempt_seconds, 0.50));
+  quant.set("p95", silence::fabric::quantile_of(attempt_seconds, 0.95));
+  quant.set("p99", silence::fabric::quantile_of(attempt_seconds, 0.99));
   out.set("attempt_seconds", std::move(quant));
   return out;
 }
@@ -329,7 +317,7 @@ int main(int argc, char** argv) {
   // pipeline counters (built from the per-shard sidecars each fabric
   // run already merged).
   if (!metric_docs.empty()) {
-    dashboard.set("metrics", silence::runner::merge_metrics_json(metric_docs));
+    dashboard.set("metrics", silence::obs::merge_metrics_json(metric_docs));
   }
   // The fleet-health rollup from the supervisors' .telemetry.json
   // sidecars: shard lifecycle counts (dispatch/retry/straggler-kill/

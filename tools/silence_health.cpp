@@ -22,6 +22,7 @@
 //
 // Exit status: 0 = ok, 1 = --verify mismatch, 2 = usage error or
 // unreadable/malformed input.
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -39,8 +40,8 @@
 namespace {
 
 namespace health = silence::obs::health;
-using health::HealthHist;
 using health::HealthSnapshot;
+using silence::obs::Hist;
 
 int usage(const char* argv0, int code) {
   std::fprintf(
@@ -64,51 +65,27 @@ std::uint64_t counter(const HealthSnapshot& h, health::Counter c) {
   return h.counters[static_cast<std::size_t>(c)];
 }
 
-const std::array<HealthHist, health::kSubcarriers>& waterfall_row(
+const std::array<Hist, health::kSubcarriers>& waterfall_row(
     const HealthSnapshot& h, health::Waterfall w) {
   return h.waterfalls[static_cast<std::size_t>(w)];
 }
 
-const std::array<HealthHist, health::kSubcarriers>& score_row(
+const std::array<Hist, health::kSubcarriers>& score_row(
     const HealthSnapshot& h, health::Truth t) {
   return h.scores[static_cast<std::size_t>(t)];
 }
 
-// Scores strictly below bucket boundary 2^b (buckets 0..b hold exactly
-// the values 0..2^b - 1), summed over the whole band.
-std::uint64_t band_below(const std::array<HealthHist, health::kSubcarriers>&
-                             row,
-                         std::size_t boundary_bucket) {
-  std::uint64_t n = 0;
-  for (const HealthHist& h : row) {
-    for (std::size_t b = 0; b <= boundary_bucket && b < h.buckets.size();
-         ++b) {
-      n += h.buckets[b];
-    }
-  }
-  return n;
+// One subcarrier row folded into a single whole-band histogram.
+Hist band(const std::array<Hist, health::kSubcarriers>& row) {
+  Hist all;
+  for (const Hist& h : row) all += h;
+  return all;
 }
 
-std::uint64_t band_count(
-    const std::array<HealthHist, health::kSubcarriers>& row) {
-  std::uint64_t n = 0;
-  for (const HealthHist& h : row) n += h.count;
-  return n;
-}
-
-// Largest non-empty bucket index across both truth rows — bounds the
-// ROC sweep so the table stops once every score is below the threshold.
-std::size_t max_score_bucket(const HealthSnapshot& h) {
-  std::size_t top = 0;
-  for (const auto truth : {health::Truth::kActive, health::Truth::kSilent}) {
-    for (const HealthHist& cell : score_row(h, truth)) {
-      for (std::size_t b = 0; b < cell.buckets.size(); ++b) {
-        if (cell.buckets[b] > 0 && b > top) top = b;
-      }
-    }
-  }
-  return top;
-}
+// The configured threshold (256 = 2^8) is the floor of this bucket, so
+// count_below(kThresholdBucket) is exactly the declared-silent count.
+const std::size_t kThresholdBucket =
+    silence::obs::histogram_bucket(health::kScoreThreshold);
 
 std::string md_render(const HealthSnapshot& h) {
   std::string md;
@@ -132,7 +109,7 @@ std::string md_render(const HealthSnapshot& h) {
   const auto& mag = waterfall_row(h, health::Waterfall::kChanMag);
   const auto& silent = score_row(h, health::Truth::kSilent);
   const auto& active = score_row(h, health::Truth::kActive);
-  const auto cell = [](const HealthHist& hist, double scale) {
+  const auto cell = [](const Hist& hist, double scale) {
     return std::to_string(hist.count) + " | " +
            (hist.count == 0 ? std::string("-") : fmt(hist.mean() / scale));
   };
@@ -146,9 +123,9 @@ std::string md_render(const HealthSnapshot& h) {
   }
 
   md += "\n## Empirical ROC\n\n";
-  const std::uint64_t silent_total = band_count(silent);
-  const std::uint64_t active_total = band_count(active);
-  if (silent_total + active_total == 0) {
+  const Hist silent_band = band(silent);
+  const Hist active_band = band(active);
+  if (silent_band.count + active_band.count == 0) {
     md += "_no ground-truth labelled detector scores (network runs don't "
           "label; run fig10)_\n";
   } else {
@@ -156,26 +133,28 @@ std::string md_render(const HealthSnapshot& h) {
           "256 = the configured detector threshold).\n\n"
           "| threshold (x256) | misses | miss rate | false alarms | "
           "false-alarm rate |\n| --- | --- | --- | --- | --- |\n";
-    const std::size_t top = max_score_bucket(h);
+    // Stop at the highest non-empty bucket: past it every score is below
+    // the threshold.
+    const std::size_t top = silence::obs::histogram_bucket(
+        std::max(silent_band.max, active_band.max));
     for (std::size_t b = 0; b <= top; ++b) {
-      // Buckets 0..b hold exactly the values 0..2^b - 1, so this row is
-      // the operating point "declare silent when score < 2^b".
-      const std::uint64_t silent_below = band_below(silent, b);
-      const std::uint64_t active_below = band_below(active, b);
-      const std::uint64_t misses = silent_total - silent_below;
+      // The operating point "declare silent when score < 2^b".
+      const std::uint64_t misses =
+          silent_band.count - silent_band.count_below(b + 1);
+      const std::uint64_t false_alarms = active_band.count_below(b + 1);
       const std::uint64_t threshold = std::uint64_t{1} << b;
       md += "| " + std::to_string(threshold) +
             (threshold == health::kScoreThreshold ? " (configured)" : "") +
             " | " + std::to_string(misses) + " | " +
-            fmt(silent_total == 0
+            fmt(silent_band.count == 0
                     ? 0.0
                     : static_cast<double>(misses) /
-                          static_cast<double>(silent_total)) +
-            " | " + std::to_string(active_below) + " | " +
-            fmt(active_total == 0
+                          static_cast<double>(silent_band.count)) +
+            " | " + std::to_string(false_alarms) + " | " +
+            fmt(active_band.count == 0
                     ? 0.0
-                    : static_cast<double>(active_below) /
-                          static_cast<double>(active_total)) +
+                    : static_cast<double>(false_alarms) /
+                          static_cast<double>(active_band.count)) +
             " |\n";
     }
   }
@@ -204,13 +183,6 @@ std::string csv_render(const HealthSnapshot& h) {
   const auto& mag = waterfall_row(h, health::Waterfall::kChanMag);
   const auto& silent = score_row(h, health::Truth::kSilent);
   const auto& active = score_row(h, health::Truth::kActive);
-  const std::size_t boundary =
-      silence::obs::histogram_bucket(health::kScoreThreshold - 1);
-  const auto below = [boundary](const HealthHist& hist) {
-    std::uint64_t n = 0;
-    for (std::size_t b = 0; b <= boundary; ++b) n += hist.buckets[b];
-    return n;
-  };
   for (std::size_t sc = 0; sc < health::kSubcarriers; ++sc) {
     csv += std::to_string(sc) + "," + std::to_string(snr[sc].count) + "," +
            fmt(snr[sc].mean() / health::kSnrScale) + "," +
@@ -219,9 +191,9 @@ std::string csv_render(const HealthSnapshot& h) {
            std::to_string(mag[sc].count) + "," +
            fmt(mag[sc].mean() / health::kChanScale) + "," +
            std::to_string(silent[sc].count) + "," +
-           std::to_string(below(silent[sc])) + "," +
+           std::to_string(silent[sc].count_below(kThresholdBucket)) + "," +
            std::to_string(active[sc].count) + "," +
-           std::to_string(below(active[sc])) + "\n";
+           std::to_string(active[sc].count_below(kThresholdBucket)) + "\n";
   }
   return csv;
 }
@@ -230,15 +202,12 @@ std::string csv_render(const HealthSnapshot& h) {
 // into the score, so the bucket sums at the configured threshold must
 // reproduce the sim layer's confusion counters exactly.
 int verify(const HealthSnapshot& h) {
-  const std::size_t boundary =
-      silence::obs::histogram_bucket(health::kScoreThreshold - 1);
-  const auto& silent = score_row(h, health::Truth::kSilent);
-  const auto& active = score_row(h, health::Truth::kActive);
-  const std::uint64_t silent_total = band_count(silent);
-  const std::uint64_t active_total = band_count(active);
+  const Hist silent = band(score_row(h, health::Truth::kSilent));
+  const Hist active = band(score_row(h, health::Truth::kActive));
   const std::uint64_t hist_misses =
-      silent_total - band_below(silent, boundary);
-  const std::uint64_t hist_false_alarms = band_below(active, boundary);
+      silent.count - silent.count_below(kThresholdBucket);
+  const std::uint64_t hist_false_alarms =
+      active.count_below(kThresholdBucket);
 
   struct Check {
     const char* what;
@@ -246,9 +215,9 @@ int verify(const HealthSnapshot& h) {
     std::uint64_t counters;
   };
   const Check checks[] = {
-      {"truth-silent cells", silent_total,
+      {"truth-silent cells", silent.count,
        counter(h, health::Counter::kTruthSilent)},
-      {"truth-active cells", active_total,
+      {"truth-active cells", active.count,
        counter(h, health::Counter::kTruthActive)},
       {"misses @256", hist_misses, counter(h, health::Counter::kMisses)},
       {"false alarms @256", hist_false_alarms,

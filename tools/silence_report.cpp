@@ -47,6 +47,7 @@
 
 namespace {
 
+using silence::obs::Hist;
 using silence::runner::Json;
 namespace health = silence::obs::health;
 
@@ -265,43 +266,21 @@ void md_results_table(std::string& md, const Json& result) {
 // ---------------------------------------------------------------------
 // PHY health: .health.json sidecar rollup (obs/health).
 
-// Cells the detector declared silent: scores are decision-clamped below
-// kScoreThreshold (= 256 = 2^8), and buckets 0..8 hold exactly the
-// values 0..255, so the bucket sum is exact, not an estimate.
-std::uint64_t declared_silent(const health::HealthHist& h) {
-  const std::size_t boundary =
-      silence::obs::histogram_bucket(health::kScoreThreshold - 1);
-  std::uint64_t n = 0;
-  for (std::size_t b = 0; b <= boundary; ++b) n += h.buckets[b];
-  return n;
-}
-
 // Whole-band rollup of one waterfall kind (or one truth's score row).
 struct BandSummary {
   std::uint64_t active_cells = 0;  // subcarriers with >= 1 sample
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;
-  std::uint64_t max = 0;
+  Hist all;
 
-  void add(const health::HealthHist& h) {
+  void add(const Hist& h) {
     if (h.count == 0) return;
-    if (active_cells == 0 || h.min < min) min = h.min;
-    if (active_cells == 0 || h.max > max) max = h.max;
     ++active_cells;
-    count += h.count;
-    sum += h.sum;
-  }
-  double mean() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(count);
+    all += h;
   }
 };
 
-BandSummary band_summary(
-    const std::array<health::HealthHist, health::kSubcarriers>& row) {
+BandSummary band_summary(const std::array<Hist, health::kSubcarriers>& row) {
   BandSummary out;
-  for (const health::HealthHist& h : row) out.add(h);
+  for (const Hist& h : row) out.add(h);
   return out;
 }
 
@@ -336,21 +315,21 @@ OperatingPoint operating_point(const health::HealthSnapshot& h) {
   out.truth_active = counter(health::Counter::kTruthActive);
   out.misses = counter(health::Counter::kMisses);
   out.false_alarms = counter(health::Counter::kFalseAlarms);
-  std::uint64_t silent_total = 0, silent_detected = 0, active_silent = 0;
-  const auto& silent =
-      h.scores[static_cast<std::size_t>(health::Truth::kSilent)];
-  const auto& active =
-      h.scores[static_cast<std::size_t>(health::Truth::kActive)];
-  for (std::size_t sc = 0; sc < health::kSubcarriers; ++sc) {
-    silent_total += silent[sc].count;
-    silent_detected += declared_silent(silent[sc]);
-    active_silent += declared_silent(active[sc]);
-  }
-  out.hist_misses = silent_total - silent_detected;
-  out.hist_false_alarms = active_silent;
+  // Scores are decision-clamped below kScoreThreshold (= 256 = 2^8), a
+  // bucket floor, so the bucket sum below it is exact, not an estimate.
+  const std::size_t threshold =
+      silence::obs::histogram_bucket(health::kScoreThreshold);
+  const Hist silent =
+      band_summary(h.scores[static_cast<std::size_t>(health::Truth::kSilent)])
+          .all;
+  const Hist active =
+      band_summary(h.scores[static_cast<std::size_t>(health::Truth::kActive)])
+          .all;
+  out.hist_misses = silent.count - silent.count_below(threshold);
+  out.hist_false_alarms = active.count_below(threshold);
   out.consistent = out.hist_misses == out.misses &&
                    out.hist_false_alarms == out.false_alarms &&
-                   silent_total == out.truth_silent;
+                   silent.count == out.truth_silent;
   return out;
 }
 
@@ -416,16 +395,16 @@ void md_health_section(std::string& md, const health::HealthSnapshot& h) {
   for (const auto& kind : kKinds) {
     const BandSummary band =
         band_summary(h.waterfalls[static_cast<std::size_t>(kind.kind)]);
-    if (band.count == 0) {
+    if (band.all.count == 0) {
       md += std::string("| ") + kind.label + " | 0 | 0 | - | - | - |\n";
       continue;
     }
     md += std::string("| ") + kind.label + " | " +
           std::to_string(band.active_cells) + " | " +
-          std::to_string(band.count) + " | " +
-          fmt(band.mean() / kind.scale) + " | " +
-          fmt(static_cast<double>(band.min) / kind.scale) + " | " +
-          fmt(static_cast<double>(band.max) / kind.scale) + " |\n";
+          std::to_string(band.all.count) + " | " +
+          fmt(band.all.mean() / kind.scale) + " | " +
+          fmt(static_cast<double>(band.all.min) / kind.scale) + " | " +
+          fmt(static_cast<double>(band.all.max) / kind.scale) + " |\n";
   }
 
   // Detector operating point at the configured threshold (score 256).
