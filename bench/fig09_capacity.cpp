@@ -224,9 +224,8 @@ int main(int argc, char** argv) {
   report.columns = {{"measured_dB", 12, 1}, {"rate_mbps", 10, -1},
                     {"Rm_weakest", 14, 0},  {"Rm_random", 14, 0},
                     {"ctrl_kbps", 14, 1}};
-  report.threads = outcome.threads;
-  report.wall_seconds = outcome.wall_seconds;
-  report.trials_run = outcome.trials_run;
+  report.timing = {report.bench, outcome.threads, outcome.trials_run,
+                   outcome.wall_seconds};
 
   // Pair up the two placements of each SNR (adjacent grid points).
   for (std::size_t i = 0; i + 1 < grid.points.size(); i += 2) {
@@ -263,7 +262,7 @@ int main(int argc, char** argv) {
   table.write(report);
   if (args.json) {
     runner::JsonSink(args.json_path).write(report);
-    if (fab.fabric_mode()) fab.write_sidecars(args.json_path);
+    fab.write_run_record(args.json_path, report.timing);
   }
   bench::finish_observability(args);
   return 0;

@@ -157,11 +157,10 @@ runner::SweepReport part_b(const bench::BenchArgs& args,
   report.columns = {{"threshold_dB", 16, 1},
                     {"false_pos", 12, 4},
                     {"false_neg", 12, 4}};
-  report.threads = outcome.threads;
-  report.wall_seconds = outcome.wall_seconds;
-  report.trials_run = outcome.trials_run;
+  report.timing = {report.bench, outcome.threads, outcome.trials_run,
+                   outcome.wall_seconds};
   // Raw confusion totals (summed over every point) ride in the grid
-  // metadata so the .health.json detector counters can be cross-checked
+  // metadata so the run record's health detector counters can be checked
   // against the sweep's own tallies, count for count.
   DetectionCounts totals;
   for (std::size_t i = 0; i < grid.points.size(); ++i) {
@@ -242,9 +241,8 @@ runner::SweepReport part_c(const bench::BenchArgs& args,
                     {"false_neg", 12, 4},
                     {"fp_midpoint", 12, 4},
                     {"fn_midpoint", 12, 4}};
-  report.threads = outcome.threads;
-  report.wall_seconds = outcome.wall_seconds;
-  report.trials_run = outcome.trials_run;
+  report.timing = {report.bench, outcome.threads, outcome.trials_run,
+                   outcome.wall_seconds};
   // Both detector variants score the same packets, and both evaluations
   // record into the health registry — so the cross-checkable total is
   // their sum.
@@ -336,9 +334,8 @@ runner::SweepReport part_d(const bench::BenchArgs& args,
   report.columns = {{"measured_dB", 12, 1},
                     {"fn_interf", 14, 4},
                     {"fn_clean", 14, 4}};
-  report.threads = outcome.threads;
-  report.wall_seconds = outcome.wall_seconds;
-  report.trials_run = outcome.trials_run;
+  report.timing = {report.bench, outcome.threads, outcome.trials_run,
+                   outcome.wall_seconds};
   // Interfered and clean runs of the same realization both record.
   DetectionCounts totals;
   for (std::size_t i = 0; i < grid.points.size(); ++i) {
@@ -394,20 +391,12 @@ int main(int argc, char** argv) {
     root.set("parts", std::move(parts));
     runner::write_json_file(args.json_path, root);
 
-    runner::Json timing = runner::Json::object();
-    timing.set("bench", "fig10_detection");
-    timing.set("threads", runner::resolve_threads(args.threads));
-    timing.set("wall_seconds",
-               b.wall_seconds + c.wall_seconds + d.wall_seconds);
-    timing.set("trials_run", static_cast<std::int64_t>(
-                                 b.trials_run + c.trials_run + d.trials_run));
-    runner::write_json_file(runner::timing_sidecar_path(args.json_path),
-                            timing);
-
-    // In fabric mode this merges every worker's shard metrics with the
-    // supervisor's own snapshot; otherwise it reduces to the plain
-    // single-snapshot sidecar.
-    fab.write_sidecars(args.json_path);
+    fab.write_run_record(
+        args.json_path,
+        {"fig10_detection", runner::resolve_threads(args.threads),
+         b.timing.trials_run + c.timing.trials_run + d.timing.trials_run,
+         b.timing.wall_seconds + c.timing.wall_seconds +
+             d.timing.wall_seconds});
   }
   bench::finish_observability(args);
   return 0;

@@ -288,9 +288,8 @@ int main(int argc, char** argv) {
                     {"fairness", 9, 3},   {"coll_rate", 10, 3},
                     {"mpdus", 8, 0},      {"hol_p50", 8, 1},
                     {"hol_p95", 8, 1},    {"hol_p99", 8, 1}};
-  report.threads = outcome.threads;
-  report.wall_seconds = outcome.wall_seconds;
-  report.trials_run = outcome.trials_run;
+  report.timing = {report.bench, outcome.threads, outcome.trials_run,
+                   outcome.wall_seconds};
   std::uint64_t total_events = 0;
   for (std::size_t i = 0; i < grid.points.size(); ++i) {
     const net::NetResult& r = outcome.point_results[i];
@@ -313,7 +312,7 @@ int main(int argc, char** argv) {
       "control-frame component. Fairness decays as far stations at low",
       "SNR lose airtime share to collisions and slow rates. hol_p* are",
       "head-of-line wait percentiles in 9 us slots, merged over stations",
-      "(per-station distributions live in the .metrics.json sidecar)."};
+      "(per-station distributions live in the run record's metrics)."};
 
   runner::TableSink table;
   table.write(report);
@@ -327,12 +326,7 @@ int main(int argc, char** argv) {
   }
   if (args.json) {
     runner::JsonSink(args.json_path).write(report);
-    if (fab.fabric_mode()) {
-      // Replace the supervisor-only sidecar JsonSink just wrote with the
-      // merge of every worker's shard metrics plus our own snapshot, and
-      // drop the supervisor's shard-lifecycle telemetry alongside.
-      fab.write_sidecars(args.json_path);
-    }
+    fab.write_run_record(args.json_path, report.timing);
   }
 
   // Machine-readable perf/behavior baseline for tools/bench_compare.

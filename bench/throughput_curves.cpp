@@ -138,9 +138,8 @@ int main(int argc, char** argv) {
                     {"cosPRR", 8, 2},     {"cosMbps", 8, 2},
                     {"ctrl_kbps", 10, 1}, {"4x_PRR", 8, 2},
                     {"4x_Mbps", 8, 2}};
-  report.threads = outcome.threads;
-  report.wall_seconds = outcome.wall_seconds;
-  report.trials_run = outcome.trials_run;
+  report.timing = {report.bench, outcome.threads, outcome.trials_run,
+                   outcome.wall_seconds};
   for (std::size_t i = 0; i < grid.points.size(); ++i) {
     const double snr = grid.points[i];
     const TrialCounts& counts = outcome.point_results[i];
@@ -161,6 +160,7 @@ int main(int argc, char** argv) {
   table.write(report);
   if (args.json) {
     runner::JsonSink(args.json_path).write(report);
+    fabric::write_run_record(args.json_path, report.timing);
   }
   bench::finish_observability(args);
   return 0;

@@ -15,7 +15,7 @@
 //              runner::run_sweep uses: point by point, trial by trial.
 //   worker     (shard spec present): runs only its slot range, encodes
 //              each slot's result, and writes one self-contained JSON
-//              artifact (fabric/transport.h) plus a metrics sidecar.
+//              artifact (fabric/transport.h) plus its run record.
 //
 // Byte-identity argument: every slot's seed is a pure function of its
 // coordinates, each slot's result is shipped individually (integers
@@ -49,12 +49,11 @@
 #include <vector>
 
 #include "fabric/process.h"
+#include "fabric/run_record.h"
 #include "fabric/shard.h"
 #include "fabric/supervisor.h"
 #include "fabric/telemetry.h"
 #include "fabric/transport.h"
-#include "obs/health/health.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "runner/sinks.h"
 #include "runner/sweep.h"
@@ -151,37 +150,14 @@ class Fabric {
                [](auto& into, auto&& part) { into += part; });
   }
 
-  // Writes the bench's sidecars next to `json_path`: the `.metrics.json`
-  // sidecar as the deterministic merge of every worker's shard sidecar
-  // plus this (supervisor) process's own registry snapshot — so fabric
-  // runs report the same counter totals a single-process run would —
-  // and, when the supervisor drove any shards, the `.telemetry.json`
-  // shard-lifecycle log. No-op when there is nothing to write.
-  void write_sidecars(const std::string& json_path) const {
-    std::vector<runner::Json> docs = worker_metrics_;
-    const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
-    if (!snapshot.empty()) docs.push_back(obs::metrics_json(snapshot));
-    if (!docs.empty()) {
-      runner::write_json_file(runner::metrics_sidecar_path(json_path),
-                              obs::merge_metrics_json(docs));
-    }
-    if (!telemetry_.empty()) {
-      runner::write_json_file(runner::telemetry_sidecar_path(json_path),
-                              telemetry_.to_json());
-    }
-    // Health sidecar, same shard-merge discipline as the metrics one.
-    // Every merged quantity is an integer sum, so the fabric file is
-    // byte-identical to the single-process run's.
-    std::vector<runner::Json> health_docs = worker_health_;
-    const obs::health::HealthSnapshot health =
-        obs::health::Registry::global().snapshot();
-    if (!health.empty()) {
-      health_docs.push_back(obs::health::health_json(health));
-    }
-    if (!health_docs.empty()) {
-      runner::write_json_file(runner::health_sidecar_path(json_path),
-                              obs::health::merge_health_json(health_docs));
-    }
+  // Writes the bench's run record next to `json_path` (fabric/run_record.h):
+  // `timing`, the metrics and health sections merged over every worker's
+  // shard record plus this process's registries — so a fabric run reports
+  // the same totals a single-process run would — and, when the supervisor
+  // drove any shards, the shard-lifecycle telemetry.
+  void write_run_record(const std::string& json_path,
+                        const runner::RunTiming& timing) const {
+    fabric::write_run_record(json_path, timing, shard_records_, &telemetry_);
   }
 
   const Telemetry& telemetry() const { return telemetry_; }
@@ -235,6 +211,7 @@ class Fabric {
       std::this_thread::sleep_for(std::chrono::seconds(600));
     }
 
+    const auto start = std::chrono::steady_clock::now();
     runner::SweepOutcome<Result> outcome;
     outcome.threads = runner::resolve_threads(options.threads);
     const bool crash = crash_injected(spec.index);
@@ -265,19 +242,16 @@ class Fabric {
 
     runner::Json encoded = runner::Json::array();
     for (const Result& result : slots) encoded.push_back(encode(result));
-    // Sidecar first, artifact rename last: the artifact is the commit
-    // point, so a validated shard always has its metrics alongside.
-    const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
-    if (!snapshot.empty()) {
-      runner::write_json_file(runner::metrics_sidecar_path(config_.shard_out),
-                              obs::metrics_json(snapshot));
-    }
-    const obs::health::HealthSnapshot health =
-        obs::health::Registry::global().snapshot();
-    if (!health.empty()) {
-      runner::write_json_file(runner::health_sidecar_path(config_.shard_out),
-                              obs::health::health_json(health));
-    }
+    // Run record first, artifact rename last: the artifact is the commit
+    // point, so a validated shard always has its record alongside. The
+    // record is always written, so a reused spool never feeds a stale one
+    // into the merge.
+    fabric::write_run_record(
+        config_.shard_out,
+        {spec.sweep, outcome.threads, spec.slots(),
+         std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+             .count()});
     write_shard_artifact(
         config_.shard_out,
         make_shard_artifact(spec, grid.base_seed, grid.points.size(), trials,
@@ -299,7 +273,7 @@ class Fabric {
         config_.shard_count > 0 ? config_.shard_count : config_.workers);
 
     runner::SweepOutcome<Result> outcome;
-    outcome.threads = config_.workers;  // processes; timing sidecar only
+    outcome.threads = config_.workers;  // processes; run record only
     outcome.trials_run = total;
     const auto start = std::chrono::steady_clock::now();
 
@@ -326,16 +300,8 @@ class Fabric {
                    &telemetry_);
 
     for (const ShardSpec& spec : plan) {
-      const std::string artifact =
-          shard_artifact_path(config_.spool_dir, spec);
-      const std::string sidecar = runner::metrics_sidecar_path(artifact);
-      if (std::filesystem::exists(sidecar)) {
-        worker_metrics_.push_back(runner::read_json_file(sidecar));
-      }
-      const std::string health = runner::health_sidecar_path(artifact);
-      if (std::filesystem::exists(health)) {
-        worker_health_.push_back(runner::read_json_file(health));
-      }
+      shard_records_.push_back(runner::read_json_file(runner::run_record_path(
+          shard_artifact_path(config_.spool_dir, spec))));
     }
 
     std::vector<Result> slots(total);
@@ -366,8 +332,7 @@ class Fabric {
 
   FabricConfig config_;
   bool worker_satisfied_ = false;
-  std::vector<runner::Json> worker_metrics_;
-  std::vector<runner::Json> worker_health_;
+  std::vector<runner::Json> shard_records_;
   Telemetry telemetry_;
 };
 

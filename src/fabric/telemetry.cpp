@@ -5,6 +5,11 @@
 
 namespace silence::fabric {
 
+namespace {
+
+// Exact quantile of a sorted sample list (linear interpolation between
+// order statistics); 0 for an empty list. Attempts are few, so no
+// bucketing.
 double quantile_of(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted.front();
@@ -14,6 +19,20 @@ double quantile_of(const std::vector<double>& sorted, double q) {
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
+
+// {count, min, max, p50, p95, p99} of sorted attempt durations.
+runner::Json attempt_quantiles(const std::vector<double>& sorted) {
+  runner::Json quant = runner::Json::object();
+  quant.set("count", static_cast<std::int64_t>(sorted.size()));
+  quant.set("min", sorted.empty() ? 0.0 : sorted.front());
+  quant.set("max", sorted.empty() ? 0.0 : sorted.back());
+  quant.set("p50", quantile_of(sorted, 0.50));
+  quant.set("p95", quantile_of(sorted, 0.95));
+  quant.set("p99", quantile_of(sorted, 0.99));
+  return quant;
+}
+
+}  // namespace
 
 void Telemetry::record(const char* kind, const std::string& shard,
                        int attempt, double seconds,
@@ -74,14 +93,7 @@ runner::Json Telemetry::to_json() const {
   summary.set("worker_utilization", capacity > 0.0 ? busy / capacity : 0.0);
 
   std::sort(attempt_seconds.begin(), attempt_seconds.end());
-  runner::Json quant = runner::Json::object();
-  quant.set("count", static_cast<std::int64_t>(attempt_seconds.size()));
-  quant.set("min", attempt_seconds.empty() ? 0.0 : attempt_seconds.front());
-  quant.set("max", attempt_seconds.empty() ? 0.0 : attempt_seconds.back());
-  quant.set("p50", quantile_of(attempt_seconds, 0.50));
-  quant.set("p95", quantile_of(attempt_seconds, 0.95));
-  quant.set("p99", quantile_of(attempt_seconds, 0.99));
-  summary.set("attempt_seconds", std::move(quant));
+  summary.set("attempt_seconds", attempt_quantiles(attempt_seconds));
   // Exact durations, so silence_campaign can re-merge quantiles across
   // sweeps instead of averaging averages.
   runner::Json list = runner::Json::array();
@@ -89,6 +101,62 @@ runner::Json Telemetry::to_json() const {
   summary.set("attempt_seconds_list", std::move(list));
   root.set("summary", std::move(summary));
   return root;
+}
+
+runner::Json merge_telemetry_json(const std::vector<runner::Json>& docs) {
+  std::int64_t shards = 0, dispatches = 0, completes = 0, retries = 0;
+  std::int64_t straggler_kills = 0, worker_failures = 0, artifact_rejects = 0;
+  std::int64_t max_workers = 0;
+  double wall = 0.0, busy = 0.0, capacity = 0.0;
+  std::vector<double> attempt_seconds;
+  const auto int_field = [](const runner::Json& doc,
+                            const char* key) -> std::int64_t {
+    const runner::Json* v = doc.find(key);
+    return v == nullptr ? 0 : v->as_int();
+  };
+  const auto dbl_field = [](const runner::Json& doc, const char* key) {
+    const runner::Json* v = doc.find(key);
+    return v == nullptr ? 0.0 : v->as_double();
+  };
+  for (const runner::Json& doc : docs) {
+    const std::int64_t workers = int_field(doc, "workers");
+    const double sweep_wall = dbl_field(doc, "wall_seconds");
+    max_workers = std::max(max_workers, workers);
+    shards += int_field(doc, "shards");
+    wall += sweep_wall;
+    capacity += static_cast<double>(workers) * sweep_wall;
+    const runner::Json* summary = doc.find("summary");
+    if (summary == nullptr) continue;
+    dispatches += int_field(*summary, "dispatches");
+    completes += int_field(*summary, "completes");
+    retries += int_field(*summary, "retries");
+    straggler_kills += int_field(*summary, "straggler_kills");
+    worker_failures += int_field(*summary, "worker_failures");
+    artifact_rejects += int_field(*summary, "artifact_rejects");
+    busy += dbl_field(*summary, "busy_seconds");
+    if (const runner::Json* list = summary->find("attempt_seconds_list")) {
+      for (const runner::Json& s : list->as_array()) {
+        attempt_seconds.push_back(s.as_double());
+      }
+    }
+  }
+  std::sort(attempt_seconds.begin(), attempt_seconds.end());
+
+  runner::Json out = runner::Json::object();
+  out.set("sweeps", static_cast<std::int64_t>(docs.size()));
+  out.set("workers", max_workers);
+  out.set("shards", shards);
+  out.set("wall_seconds", wall);
+  out.set("dispatches", dispatches);
+  out.set("completes", completes);
+  out.set("retries", retries);
+  out.set("straggler_kills", straggler_kills);
+  out.set("worker_failures", worker_failures);
+  out.set("artifact_rejects", artifact_rejects);
+  out.set("busy_seconds", busy);
+  out.set("worker_utilization", capacity > 0.0 ? busy / capacity : 0.0);
+  out.set("attempt_seconds", attempt_quantiles(attempt_seconds));
+  return out;
 }
 
 }  // namespace silence::fabric

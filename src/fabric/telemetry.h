@@ -2,11 +2,12 @@
 // supervisor drives — dispatch, completion, worker failure, artifact
 // reject, straggler kill, retry — recorded with its wall-clock offset,
 // attempt number and duration, and rendered as one self-contained JSON
-// document (the `.telemetry.json` sidecar next to a bench's result).
+// document (the `telemetry` section of a bench's `<stem>.run.json` run
+// record, fabric/run_record.h).
 //
 // This is fleet observability, not result data: timings are wall clock
-// and differ run to run, which is why telemetry only ever lands in a
-// sidecar — the sweep artifacts and the merged result JSON stay
+// and differ run to run, which is why telemetry only ever lands in the
+// run record — the sweep artifacts and the merged result JSON stay
 // byte-identical at any worker/shard count.
 //
 // Single-threaded by design: run_shards polls workers from one thread,
@@ -21,13 +22,6 @@
 #include "runner/json.h"
 
 namespace silence::fabric {
-
-// Exact quantile of a sorted sample list (linear interpolation between
-// order statistics); 0 for an empty list. Attempts are few, so no
-// bucketing: Telemetry::to_json reports its attempt-duration p50/p95/p99
-// with it, and silence_campaign recomputes them over the pooled samples
-// of every sweep.
-double quantile_of(const std::vector<double>& sorted, double q);
 
 class Telemetry {
  public:
@@ -79,5 +73,15 @@ class Telemetry {
   std::size_t shards_ = 0;
   std::vector<Event> events_;
 };
+
+// Rolls several Telemetry::to_json documents (one per fabric run) up into
+// one fleet view: event counts summed, attempt durations pooled with
+// quantiles recomputed, utilization weighted by each run's workers x
+// wall capacity. The result is a flat summary, not an event log:
+// {sweeps, workers (max), shards, wall_seconds, dispatches, completes,
+// retries, straggler_kills, worker_failures, artifact_rejects,
+// busy_seconds, worker_utilization, attempt_seconds{count,min,max,p50,
+// p95,p99}}.
+runner::Json merge_telemetry_json(const std::vector<runner::Json>& docs);
 
 }  // namespace silence::fabric

@@ -2,8 +2,8 @@
 // track per station plus the shared medium, rendered under pid 2 of the
 // Chrome/Perfetto trace (obs/trace.h), with timestamps in deterministic
 // simulated microseconds. A second helper interns per-station registry
-// histograms (net.sta.NN.*) so .metrics.json carries per-station latency
-// percentiles next to the aggregate ones.
+// histograms (net.sta.NN.*) so the run record's metrics section carries
+// per-station latency percentiles next to the aggregate ones.
 //
 // Exactly one scenario per capture owns the simulation timeline (the
 // first run_scenario to claim it); a single-scenario run — the CI smoke

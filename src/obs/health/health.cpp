@@ -174,6 +174,35 @@ void Registry::reset() {
   });
 }
 
+Hist whole_band(const std::array<Hist, kSubcarriers>& row) {
+  Hist all;
+  for (const Hist& h : row) all += h;
+  return all;
+}
+
+OperatingPoint operating_point(const HealthSnapshot& snapshot) {
+  const auto counter = [&snapshot](Counter c) {
+    return snapshot.counters[static_cast<std::size_t>(c)];
+  };
+  const Hist silent =
+      whole_band(snapshot.scores[static_cast<std::size_t>(Truth::kSilent)]);
+  const Hist active =
+      whole_band(snapshot.scores[static_cast<std::size_t>(Truth::kActive)]);
+  // Buckets below this one hold exactly the scores 0..255: the cells the
+  // detector declared silent.
+  const std::size_t threshold = histogram_bucket(kScoreThreshold);
+  OperatingPoint out;
+  out.truth_silent = counter(Counter::kTruthSilent);
+  out.truth_active = counter(Counter::kTruthActive);
+  out.misses = counter(Counter::kMisses);
+  out.false_alarms = counter(Counter::kFalseAlarms);
+  out.hist_silent = silent.count;
+  out.hist_active = active.count;
+  out.hist_misses = silent.count - silent.count_below(threshold);
+  out.hist_false_alarms = active.count_below(threshold);
+  return out;
+}
+
 std::uint64_t quantize(double value, double scale) {
   if (!(value > 0.0)) return 0;  // negatives and NaN quantize to 0
   const double scaled = value * scale;

@@ -25,9 +25,9 @@
 // count_confusion()'s miss/false-alarm tallies bit-for-bit at score 256.
 //
 // Building with SILENCE_OBS=OFF compiles every HEALTH_* macro to nothing;
-// the registry class itself still exists (so the runner/fabric sidecar
-// plumbing links in both modes) but stays empty, and no .health.json is
-// written.
+// the registry class itself still exists (so the run-record plumbing
+// links in both modes) but stays empty, and the run record carries no
+// `health` section.
 #pragma once
 
 #include <array>
@@ -175,9 +175,44 @@ std::uint64_t quantize(double value, double scale);
 // at score 256 exactly equal to the mask-derived ones.
 std::uint64_t quantize_score(double energy, double threshold);
 
-// --- .health.json rendering / merging ----------------------------------
+// --- Detector operating point -----------------------------------------
 
-// Renders a snapshot as the `.health.json` sidecar document
+// One subcarrier row (a waterfall kind or a truth's score cells) folded
+// into a single whole-band histogram.
+Hist whole_band(const std::array<Hist, kSubcarriers>& row);
+
+// part / whole as a rate; 0 when `whole` is 0.
+inline double rate(std::uint64_t part, std::uint64_t whole) {
+  return whole == 0 ? 0.0
+                    : static_cast<double>(part) / static_cast<double>(whole);
+}
+
+// The detector operating point at the configured threshold, computed two
+// independent ways: from the confusion counters and from the per-truth
+// score histograms. kScoreThreshold is a bucket floor, so the histogram
+// side is an exact bucket sum, not an estimate; consistent() is the
+// cross-check `silence_health --verify` and `silence_report` make.
+struct OperatingPoint {
+  // From the audit counters.
+  std::uint64_t truth_silent = 0, truth_active = 0;
+  std::uint64_t misses = 0, false_alarms = 0;
+  // From the score histograms.
+  std::uint64_t hist_silent = 0, hist_active = 0;
+  std::uint64_t hist_misses = 0, hist_false_alarms = 0;
+
+  bool consistent() const {
+    return hist_silent == truth_silent && hist_active == truth_active &&
+           hist_misses == misses && hist_false_alarms == false_alarms;
+  }
+  double miss_rate() const { return rate(misses, truth_silent); }
+  double false_alarm_rate() const { return rate(false_alarms, truth_active); }
+};
+
+OperatingPoint operating_point(const HealthSnapshot& snapshot);
+
+// --- Health document rendering / merging --------------------------------
+
+// Renders a snapshot as the run record's `health` section
 // (schema "cos.health.v1"): counters keyed by name, one histogram object
 // {count,sum,min,max,buckets[]} per waterfall subcarrier and per detector
 // (truth, subcarrier) cell, buckets trailing-zero trimmed. Integer-only

@@ -1,6 +1,6 @@
 // The one power-of-two histogram of the system: the value type every
 // histogram is merged, rendered and parsed as (obs metrics snapshots,
-// the health sidecar's waterfall and detector cells, the net layer's
+// the health section's waterfall and detector cells, the net layer's
 // per-station slot latencies), and the relaxed-atomic cell the per-thread
 // registry blocks record into.
 //
@@ -62,8 +62,8 @@ struct Hist {
   // Integers only, so from_json(to_json()) is exact.
   runner::Json to_json() const;
   // The same fields plus mean, p50/p95/p99 and bucket_floors[] (the
-  // .metrics.json form), placed before "buckets". from_json ignores the
-  // derived fields.
+  // run record's metrics form), placed before "buckets". from_json
+  // ignores the derived fields.
   runner::Json summary_json() const;
   // Throws std::runtime_error on a missing or negative field, or on more
   // buckets than the fixed layout holds.

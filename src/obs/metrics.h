@@ -66,8 +66,8 @@ struct MetricsSnapshot {
 
 // The snapshot as a JSON object: counters, gauges and histograms keyed
 // by metric name, each histogram in Hist::summary_json() form. Sorted
-// input makes the output deterministic. This is the `.metrics.json`
-// sidecar and the "metrics" section of a trace file.
+// input makes the output deterministic. This is the `metrics` section of
+// a run record (fabric/run_record.h) and of a trace file.
 runner::Json metrics_json(const MetricsSnapshot& snapshot);
 
 // Deterministic merge of several metrics_json() documents (e.g. one per

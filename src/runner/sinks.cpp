@@ -7,9 +7,6 @@
 #include <iterator>
 #include <stdexcept>
 
-#include "obs/health/health.h"
-#include "obs/metrics.h"
-
 namespace silence::runner {
 
 namespace {
@@ -33,6 +30,15 @@ std::string cell_text(const Json& cell, int precision) {
 }
 
 }  // namespace
+
+Json RunTiming::to_json() const {
+  Json timing = Json::object();
+  timing.set("bench", bench);
+  timing.set("threads", threads);
+  timing.set("trials_run", static_cast<std::int64_t>(trials_run));
+  timing.set("wall_seconds", wall_seconds);
+  return timing;
+}
 
 void SweepReport::add_row(std::vector<Json> cells) {
   if (cells.size() != columns.size()) {
@@ -59,9 +65,9 @@ void TableSink::write(const SweepReport& report) {
   for (const auto& note : report.notes) {
     std::printf("%s\n", note.c_str());
   }
-  std::printf("[%zu trials, %d thread%s, %.2f s]\n", report.trials_run,
-              report.threads, report.threads == 1 ? "" : "s",
-              report.wall_seconds);
+  const RunTiming& t = report.timing;
+  std::printf("[%zu trials, %d thread%s, %.2f s]\n", t.trials_run, t.threads,
+              t.threads == 1 ? "" : "s", t.wall_seconds);
 }
 
 Json JsonSink::payload(const SweepReport& report) {
@@ -86,77 +92,32 @@ Json JsonSink::payload(const SweepReport& report) {
   return root;
 }
 
-std::string timing_sidecar_path(const std::string& json_path) {
+std::string run_record_path(const std::string& json_path) {
   std::string path = json_path;
   if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
     path.resize(path.size() - 5);
   }
-  return path + ".timing.json";
-}
-
-std::string metrics_sidecar_path(const std::string& json_path) {
-  std::string path = json_path;
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
-    path.resize(path.size() - 5);
-  }
-  return path + ".metrics.json";
-}
-
-std::string telemetry_sidecar_path(const std::string& json_path) {
-  std::string path = json_path;
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
-    path.resize(path.size() - 5);
-  }
-  return path + ".telemetry.json";
-}
-
-std::string health_sidecar_path(const std::string& json_path) {
-  std::string path = json_path;
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
-    path.resize(path.size() - 5);
-  }
-  return path + ".health.json";
+  return path + ".run.json";
 }
 
 void JsonSink::write(const SweepReport& report) {
   write_json_file(path_, payload(report));
-
-  const std::string timing_path = timing_sidecar_path(path_);
-  Json timing = Json::object();
-  timing.set("bench", report.bench);
-  timing.set("threads", report.threads);
-  timing.set("trials_run", static_cast<std::int64_t>(report.trials_run));
-  timing.set("wall_seconds", report.wall_seconds);
-  write_json_file(timing_path, timing);
-
-  // Metrics sidecar: the pipeline-wide obs snapshot for this run. Like
-  // timing it never touches the main file — counter values are seed-
-  // deterministic, but the .ns histograms are wall-clock.
-  const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
-  if (!snapshot.empty()) {
-    write_json_file(metrics_sidecar_path(path_), obs::metrics_json(snapshot));
-  }
-
-  // Health sidecar: every quantity seed-deterministic, so the file is
-  // byte-identical at any thread count. Empty under SILENCE_OBS=OFF (the
-  // macros compile away) and for benches that never touch the CoS path.
-  const obs::health::HealthSnapshot health =
-      obs::health::Registry::global().snapshot();
-  if (!health.empty()) {
-    write_json_file(health_sidecar_path(path_), obs::health::health_json(health));
-  }
 }
 
-void write_json_file(const std::string& path, const Json& value) {
+void write_text_file(const std::string& path, const std::string& text) {
   const std::filesystem::path p(path);
   if (p.has_parent_path()) {
     std::filesystem::create_directories(p.parent_path());
   }
   std::ofstream out(p, std::ios::binary | std::ios::trunc);
   if (!out) {
-    throw std::runtime_error("write_json_file: cannot open " + path);
+    throw std::runtime_error("write_text_file: cannot open " + path);
   }
-  out << value.dump();
+  out << text;
+}
+
+void write_json_file(const std::string& path, const Json& value) {
+  write_text_file(path, value.dump());
 }
 
 Json read_json_file(const std::string& path) {

@@ -7,8 +7,9 @@
 //
 // Determinism contract: the main JSON file contains only seed-derived
 // data, so two runs over the same grid are byte-identical regardless of
-// thread count. Timing (wall-clock, thread count) goes to a separate
-// `<bench>.timing.json` sidecar precisely so it cannot perturb diffs.
+// thread count. Timing (wall-clock, thread count) goes to the `timing`
+// section of the `<bench>.run.json` run record (fabric/run_record.h)
+// precisely so it cannot perturb diffs.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +19,16 @@
 #include "runner/json.h"
 
 namespace silence::runner {
+
+// The run record's `timing` section: wall clock and thread count.
+struct RunTiming {
+  std::string bench;
+  int threads = 1;
+  std::size_t trials_run = 0;
+  double wall_seconds = 0.0;
+
+  Json to_json() const;
+};
 
 struct Column {
   std::string name;
@@ -33,10 +44,8 @@ struct SweepReport {
   std::vector<Column> columns;
   std::vector<std::vector<Json>> rows;  // one row per grid point
   std::vector<std::string> notes;  // trailing commentary (table only)
-  // Timing — reported via the sidecar, never the main result file.
-  int threads = 1;
-  double wall_seconds = 0.0;
-  std::size_t trials_run = 0;
+  // Reported via the run record, never the main result file.
+  RunTiming timing;
 
   // Appends a row; cells must match `columns` in count and order.
   void add_row(std::vector<Json> cells);
@@ -54,7 +63,8 @@ class TableSink : public ResultSink {
   void write(const SweepReport& report) override;
 };
 
-// Structured results at `path` plus timing at `<path minus .json>.timing.json`.
+// Structured results at `path`, and nothing else: the run record next to
+// it is written by fabric::write_run_record.
 class JsonSink : public ResultSink {
  public:
   explicit JsonSink(std::string path) : path_(std::move(path)) {}
@@ -68,6 +78,10 @@ class JsonSink : public ResultSink {
   std::string path_;
 };
 
+// Writes `text` to `path`, creating parent directories; throws
+// std::runtime_error if the file cannot be opened.
+void write_text_file(const std::string& path, const std::string& text);
+
 // Serializes `value` to `path` (dump() form), creating parent directories.
 void write_json_file(const std::string& path, const Json& value);
 
@@ -75,19 +89,8 @@ void write_json_file(const std::string& path, const Json& value);
 // failure. Round-trips write_json_file exactly.
 Json read_json_file(const std::string& path);
 
-// `results/foo.json` -> `results/foo.timing.json`.
-std::string timing_sidecar_path(const std::string& json_path);
-
-// `results/foo.json` -> `results/foo.metrics.json`.
-std::string metrics_sidecar_path(const std::string& json_path);
-
-// `results/foo.json` -> `results/foo.telemetry.json` (fabric supervisor
-// shard-lifecycle telemetry; see fabric/telemetry.h).
-std::string telemetry_sidecar_path(const std::string& json_path);
-
-// `results/foo.json` -> `results/foo.health.json` (PHY signal-health
-// snapshot; see obs/health/health.h). Written only when the health
-// registry recorded anything, i.e. never under SILENCE_OBS=OFF.
-std::string health_sidecar_path(const std::string& json_path);
+// `results/foo.json` -> `results/foo.run.json`: the run record holding
+// the timing, metrics, health and telemetry sections (fabric/run_record.h).
+std::string run_record_path(const std::string& json_path);
 
 }  // namespace silence::runner

@@ -26,9 +26,11 @@
 
 #include "fabric/fabric.h"
 #include "fabric/process.h"
+#include "fabric/run_record.h"
 #include "fabric/shard.h"
 #include "fabric/telemetry.h"
 #include "fabric/transport.h"
+#include "obs/health/health.h"
 #include "runner/sinks.h"
 #include "runner/sweep.h"
 
@@ -324,7 +326,7 @@ TEST(FabricE2E, WorkerRefusesShardRangeBeyondGrid) {
 
 // ---------------------------------------------------------------------
 // Supervisor telemetry (fabric/telemetry.h): the shard-lifecycle journal
-// behind the .telemetry.json sidecar.
+// behind the run record's telemetry section.
 
 TEST(Telemetry, RecordsEventsAndSummarizes) {
   Telemetry t;
@@ -402,27 +404,103 @@ TEST(FabricE2E, TelemetryJournalsStragglerKill) {
   EXPECT_EQ(t.count(Telemetry::kComplete), 2u);
 }
 
-TEST(FabricE2E, WriteSidecarsEmitsTelemetryJson) {
-  FabricConfig config = supervisor_config(2, fresh_dir("telemetry_sidecar"));
-  Fabric fab(std::move(config));
-  run_test_sweep(fab);
-  const std::string base = fresh_dir("telemetry_sidecar_out") + "/run.json";
-  fab.write_sidecars(base);
-  const std::string path = runner::telemetry_sidecar_path(base);
-  ASSERT_TRUE(std::filesystem::exists(path));
-  const runner::Json doc = runner::read_json_file(path);
-  EXPECT_EQ(doc.find("schema_version")->as_int(), 1);
-  EXPECT_EQ(doc.find("summary")->find("completes")->as_int(), 2);
+TEST(Telemetry, MergeSumsCountsAndPoolsAttemptDurations) {
+  Telemetry a;
+  a.set_workers(2);
+  a.add_shards(2);
+  a.record(Telemetry::kDispatch, "a:0/2:0-4", 0);
+  a.record(Telemetry::kDispatch, "a:1/2:4-8", 0);
+  a.record(Telemetry::kComplete, "a:0/2:0-4", 0, 1.0);
+  a.record(Telemetry::kComplete, "a:1/2:4-8", 0, 3.0);
+  Telemetry b;
+  b.set_workers(4);
+  b.add_shards(1);
+  b.record(Telemetry::kDispatch, "b:0/1:0-4", 0);
+  b.record(Telemetry::kWorkerFailure, "b:0/1:0-4", 0, 0.5, "exit code 7");
+  b.record(Telemetry::kRetry, "b:0/1:0-4", 1, 0.05, "worker exit code 7");
+  b.record(Telemetry::kComplete, "b:0/1:0-4", 1, 2.0);
+
+  const runner::Json merged = merge_telemetry_json({a.to_json(), b.to_json()});
+  EXPECT_EQ(merged.find("sweeps")->as_int(), 2);
+  EXPECT_EQ(merged.find("workers")->as_int(), 4);  // the larger pool
+  EXPECT_EQ(merged.find("shards")->as_int(), 3);
+  EXPECT_EQ(merged.find("dispatches")->as_int(), 3);
+  EXPECT_EQ(merged.find("completes")->as_int(), 3);
+  EXPECT_EQ(merged.find("retries")->as_int(), 1);
+  EXPECT_EQ(merged.find("worker_failures")->as_int(), 1);
+  EXPECT_EQ(merged.find("straggler_kills")->as_int(), 0);
+  EXPECT_DOUBLE_EQ(merged.find("busy_seconds")->as_double(), 6.5);
+  // Pooled, not averaged: 1.0 and 3.0 from a, 0.5 and 2.0 from b.
+  const runner::Json* attempts = merged.find("attempt_seconds");
+  ASSERT_NE(attempts, nullptr);
+  EXPECT_EQ(attempts->find("count")->as_int(), 4);
+  EXPECT_DOUBLE_EQ(attempts->find("min")->as_double(), 0.5);
+  EXPECT_DOUBLE_EQ(attempts->find("max")->as_double(), 3.0);
+  EXPECT_DOUBLE_EQ(attempts->find("p50")->as_double(), 1.5);
 }
 
-TEST(FabricE2E, SingleProcessRunWritesNoTelemetrySidecar) {
-  Fabric fab(FabricConfig{});  // workers = 0 -> no supervisor, no journal
+// ---------------------------------------------------------------------
+// The run record (fabric/run_record.h).
+
+runner::RunTiming test_timing() { return {"fabric_test", 2, 40, 0.25}; }
+
+TEST(FabricE2E, RerunReplacesTheWholeRunRecord) {
+  const std::string base = fresh_dir("run_record_rerun") + "/run.json";
+  const std::string path = runner::run_record_path(base);
+  {
+    Fabric fab(supervisor_config(2, fresh_dir("run_record_fabric")));
+    run_test_sweep(fab);
+    fab.write_run_record(base, test_timing());
+    const runner::Json record = runner::read_json_file(path);
+    EXPECT_EQ(record.find("schema")->as_string(), kRunRecordSchema);
+    EXPECT_EQ(record.find("timing")->find("trials_run")->as_int(), 40);
+    const runner::Json* telemetry = record.find("telemetry");
+    ASSERT_NE(telemetry, nullptr);
+    EXPECT_EQ(telemetry->find("schema_version")->as_int(), 1);
+    EXPECT_EQ(telemetry->find("summary")->find("completes")->as_int(), 2);
+  }
+  // A single-process rerun to the same path keeps no journal, and the
+  // rewritten record must not inherit the fabric run's telemetry.
+  Fabric fab(FabricConfig{});
   run_test_sweep(fab);
   EXPECT_TRUE(fab.telemetry().empty());
-  const std::string base = fresh_dir("telemetry_none") + "/run.json";
-  fab.write_sidecars(base);
-  EXPECT_FALSE(
-      std::filesystem::exists(runner::telemetry_sidecar_path(base)));
+  fab.write_run_record(base, test_timing());
+  const runner::Json record = runner::read_json_file(path);
+  ASSERT_NE(record.find("timing"), nullptr);
+  EXPECT_EQ(record.find("telemetry"), nullptr);
+}
+
+TEST(FabricE2E, ReusedSpoolNeverMergesAStaleShardRecord) {
+  // A previous run left shard records whose metrics and health sections
+  // carry a marker; the toy sweep records no health at all.
+  const std::string spool = fresh_dir("run_record_stale");
+  runner::Json stale_metrics = runner::Json::object();
+  stale_metrics.set("counters",
+                    runner::Json::Object{{"stale.marker", std::int64_t{777}}});
+  obs::health::HealthSnapshot stale_health;
+  stale_health.counters[static_cast<std::size_t>(
+      obs::health::Counter::kPlans)] = 777777;
+  runner::Json stale = runner::Json::object();
+  stale.set("schema", kRunRecordSchema);
+  stale.set("metrics", stale_metrics);
+  stale.set("health", obs::health::health_json(stale_health));
+  for (const ShardSpec& spec :
+       plan_shards("fabric_test",
+                   test_grid().points.size() * test_grid().trials, 2)) {
+    runner::write_json_file(
+        runner::run_record_path(shard_artifact_path(spool, spec)), stale);
+  }
+
+  Fabric fab(supervisor_config(2, spool));
+  run_test_sweep(fab);
+  const std::string base = fresh_dir("run_record_stale_out") + "/run.json";
+  fab.write_run_record(base, test_timing());
+  const runner::Json record =
+      runner::read_json_file(runner::run_record_path(base));
+  const std::string text = record.dump();
+  EXPECT_EQ(text.find("stale.marker"), std::string::npos);
+  EXPECT_EQ(text.find("777777"), std::string::npos);
+  EXPECT_EQ(record.find("health"), nullptr);
 }
 
 TEST(FabricE2E, WorkerOnForeignSweepReportsUnsatisfied) {

@@ -1,7 +1,7 @@
 // PHY signal-health registry (obs/health): determinism of the snapshot
 // at any thread count, exactness of the quantization (including the
 // decision clamp that makes the score histograms reproduce confusion
-// counts), and the sidecar JSON round trip / merge.
+// counts), and the health_json round trip / merge.
 #include "obs/health/health.h"
 
 #include <cmath>

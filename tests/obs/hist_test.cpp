@@ -1,6 +1,6 @@
 // obs::Hist, the one power-of-two histogram value type: recording,
 // the exact merge, quantiles, whole-bucket counts and the JSON codec
-// every histogram-carrying document (metrics and health sidecars,
+// every histogram-carrying document (run-record metrics and health sections,
 // NetResult station rows) goes through.
 #include "obs/hist.h"
 

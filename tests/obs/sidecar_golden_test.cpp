@@ -1,11 +1,11 @@
-// Byte pins for the obs sidecar documents that merge across threads and
-// fabric shards: the `.health.json` rendering of a fixed, seeded run of
-// recorded CoS trials (and its shard merge), and the `.metrics.json`
-// rendering of a registry snapshot holding fixed counter, gauge and
-// histogram values (and the merge of two such documents). Each document
-// is hashed with FNV-1a 64 over its dump() bytes, the form the sidecar
-// writer puts on disk, so any change to a histogram codec, a merge rule
-// or the per-thread cell pools shows up as a digest change.
+// Byte pins for the obs documents that merge across threads and fabric
+// shards into a run record's sections: the health_json rendering of a
+// fixed, seeded run of recorded CoS trials (and its shard merge), and the
+// metrics_json rendering of a registry snapshot holding fixed counter,
+// gauge and histogram values (and the merge of two such documents).
+// Each document is hashed with FNV-1a 64 over its dump() bytes, the form
+// the run-record writer puts on disk, so any change to a histogram codec,
+// a merge rule or the per-thread cell pools shows up as a digest change.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -1,6 +1,7 @@
-// merge_metrics_json: the reduction that folds per-shard / per-sweep
-// .metrics.json sidecars into one document (fabric supervisor merges its
-// workers' sidecars; silence_campaign merges across sweeps). Counters
+// merge_metrics_json: the reduction that folds the metrics sections of
+// per-shard / per-sweep run records into one document (the fabric
+// supervisor merges its workers' records; silence_campaign merges across
+// sweeps). Counters
 // sum, gauges take the max, histograms merge bucket-wise with
 // mean/p50/p95/p99 recomputed from the combined buckets.
 #include "obs/metrics.h"

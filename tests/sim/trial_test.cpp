@@ -146,6 +146,12 @@ TEST(CosTrialHealth, ScoreHistogramsReproduceConfusionCountsExactly) {
   EXPECT_EQ(active_below, totals.false_pos);  // false alarms
   ASSERT_GT(silent_total, 0u);
   ASSERT_GT(active_total, 0u);
+
+  // The shared operating point the report tools print and verify.
+  const health::OperatingPoint op = health::operating_point(snap);
+  EXPECT_TRUE(op.consistent());
+  EXPECT_EQ(op.hist_misses, totals.false_neg);
+  EXPECT_EQ(op.hist_false_alarms, totals.false_pos);
 }
 
 // A detector threshold far above any active symbol's energy marks every

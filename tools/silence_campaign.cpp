@@ -1,5 +1,5 @@
 // silence_campaign — runs a manifest of sweep benches end-to-end and
-// aggregates their sidecars into one campaign dashboard JSON.
+// aggregates their run records into one campaign dashboard JSON.
 //
 //   silence_campaign <manifest.json> [--workers N] [--dry-run]
 //
@@ -22,29 +22,27 @@
 // Each sweep's command is spawned with `--json <json>` appended, plus
 // `--fabric <N>` when fabric_workers > 1 — so every sweep runs through
 // the sharded fabric (src/fabric/) with its fault-tolerant supervision,
-// and each bench's .metrics.json sidecar already holds the merge of its
-// shards' worker sidecars. A sweep that exits nonzero fails the whole
-// campaign. Afterwards the dashboard aggregates across sweeps: counters
+// and each bench's `<stem>.run.json` record already holds the merge of
+// its shards' records. A sweep that exits nonzero, or leaves no readable
+// record, fails the whole campaign. Afterwards the dashboard merges the
+// records across sweeps (fabric::merge_run_records): metrics counters
 // summed, gauges maxed, histograms merged bucket-wise with p50/p95/p99
-// recomputed from the combined buckets (obs::merge_metrics_json),
-// plus per-sweep wall-clock/trial totals from the .timing.json sidecars
-// and an exact integer merge of the .health.json PHY-health sidecars.
+// recomputed; an exact integer merge of the PHY-health sections; the
+// fabric telemetry rolled up into one fleet view; plus per-sweep
+// wall-clock/trial totals from each record's timing section.
 //
 // Exit status: 0 = campaign complete and dashboard written; 1 = a sweep
 // failed; 2 = usage/manifest error.
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fabric/process.h"
-#include "fabric/telemetry.h"
-#include "obs/health/health.h"
-#include "obs/metrics.h"
+#include "fabric/run_record.h"
 #include "runner/json.h"
 #include "runner/sinks.h"
 
@@ -64,11 +62,11 @@ int usage(const char* argv0, int code) {
   return code;
 }
 
+// `json[key]`; throws std::runtime_error naming the key if it is absent.
 const Json& require(const Json& json, const char* key) {
   const Json* value = json.find(key);
   if (value == nullptr) {
-    throw std::runtime_error(std::string("manifest: missing field '") + key +
-                             "'");
+    throw std::runtime_error(std::string("missing field '") + key + "'");
   }
   return *value;
 }
@@ -123,72 +121,6 @@ std::string join(const std::vector<std::string>& argv) {
   return line;
 }
 
-// Rolls the per-sweep fabric .telemetry.json sidecars up into one
-// campaign-level view: event counts summed, attempt durations pooled
-// (quantiles recomputed), utilization weighted by each sweep's
-// workers × wall capacity.
-Json merge_fabric_telemetry(const std::vector<Json>& docs) {
-  std::int64_t shards = 0, dispatches = 0, completes = 0, retries = 0;
-  std::int64_t straggler_kills = 0, worker_failures = 0, artifact_rejects = 0;
-  std::int64_t max_workers = 0;
-  double wall = 0.0, busy = 0.0, capacity = 0.0;
-  std::vector<double> attempt_seconds;
-  const auto int_field = [](const Json& doc, const char* key) -> std::int64_t {
-    const Json* v = doc.find(key);
-    return v == nullptr ? 0 : v->as_int();
-  };
-  const auto dbl_field = [](const Json& doc, const char* key) -> double {
-    const Json* v = doc.find(key);
-    return v == nullptr ? 0.0 : v->as_double();
-  };
-  for (const Json& doc : docs) {
-    const std::int64_t workers = int_field(doc, "workers");
-    const double sweep_wall = dbl_field(doc, "wall_seconds");
-    max_workers = std::max(max_workers, workers);
-    shards += int_field(doc, "shards");
-    wall += sweep_wall;
-    capacity += static_cast<double>(workers) * sweep_wall;
-    const Json* summary = doc.find("summary");
-    if (summary == nullptr) continue;
-    dispatches += int_field(*summary, "dispatches");
-    completes += int_field(*summary, "completes");
-    retries += int_field(*summary, "retries");
-    straggler_kills += int_field(*summary, "straggler_kills");
-    worker_failures += int_field(*summary, "worker_failures");
-    artifact_rejects += int_field(*summary, "artifact_rejects");
-    busy += dbl_field(*summary, "busy_seconds");
-    if (const Json* list = summary->find("attempt_seconds_list")) {
-      for (const Json& s : list->as_array()) {
-        attempt_seconds.push_back(s.as_double());
-      }
-    }
-  }
-  std::sort(attempt_seconds.begin(), attempt_seconds.end());
-
-  Json out = Json::object();
-  out.set("sweeps", static_cast<std::int64_t>(docs.size()));
-  out.set("workers", max_workers);
-  out.set("shards", shards);
-  out.set("wall_seconds", wall);
-  out.set("dispatches", dispatches);
-  out.set("completes", completes);
-  out.set("retries", retries);
-  out.set("straggler_kills", straggler_kills);
-  out.set("worker_failures", worker_failures);
-  out.set("artifact_rejects", artifact_rejects);
-  out.set("busy_seconds", busy);
-  out.set("worker_utilization", capacity > 0.0 ? busy / capacity : 0.0);
-  Json quant = Json::object();
-  quant.set("count", static_cast<std::int64_t>(attempt_seconds.size()));
-  quant.set("min", attempt_seconds.empty() ? 0.0 : attempt_seconds.front());
-  quant.set("max", attempt_seconds.empty() ? 0.0 : attempt_seconds.back());
-  quant.set("p50", silence::fabric::quantile_of(attempt_seconds, 0.50));
-  quant.set("p95", silence::fabric::quantile_of(attempt_seconds, 0.95));
-  quant.set("p99", silence::fabric::quantile_of(attempt_seconds, 0.99));
-  out.set("attempt_seconds", std::move(quant));
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -215,7 +147,8 @@ int main(int argc, char** argv) {
   try {
     manifest = parse_manifest(silence::runner::read_json_file(manifest_path));
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    std::fprintf(stderr, "%s: %s: %s\n", argv[0], manifest_path.c_str(),
+                 e.what());
     return 2;
   }
   const int workers =
@@ -228,9 +161,7 @@ int main(int argc, char** argv) {
               manifest.sweeps.size(), mode.c_str());
 
   Json dashboard_sweeps = Json::array();
-  std::vector<Json> metric_docs;
-  std::vector<Json> telemetry_docs;
-  std::vector<Json> health_docs;
+  std::vector<Json> records;
   double total_wall = 0.0;
   std::int64_t total_trials = 0;
 
@@ -267,36 +198,23 @@ int main(int argc, char** argv) {
                    argv[0], sweep.name.c_str(), e.what());
       return 1;
     }
-    const std::string timing_path =
-        silence::runner::timing_sidecar_path(sweep.json_path);
-    if (std::filesystem::exists(timing_path)) {
-      const Json timing = silence::runner::read_json_file(timing_path);
-      if (const Json* wall = timing.find("wall_seconds")) {
-        entry.set("wall_seconds", *wall);
-        total_wall += wall->as_double();
-      }
-      if (const Json* trials = timing.find("trials_run")) {
-        entry.set("trials_run", *trials);
-        total_trials += trials->as_int();
-      }
-    }
-    const std::string metrics_path =
-        silence::runner::metrics_sidecar_path(sweep.json_path);
-    if (std::filesystem::exists(metrics_path)) {
-      metric_docs.push_back(silence::runner::read_json_file(metrics_path));
-      entry.set("metrics", metrics_path);
-    }
-    const std::string telemetry_path =
-        silence::runner::telemetry_sidecar_path(sweep.json_path);
-    if (std::filesystem::exists(telemetry_path)) {
-      telemetry_docs.push_back(silence::runner::read_json_file(telemetry_path));
-      entry.set("telemetry", telemetry_path);
-    }
-    const std::string health_path =
-        silence::runner::health_sidecar_path(sweep.json_path);
-    if (std::filesystem::exists(health_path)) {
-      health_docs.push_back(silence::runner::read_json_file(health_path));
-      entry.set("health", health_path);
+    const std::string record_path =
+        silence::runner::run_record_path(sweep.json_path);
+    try {
+      Json record = silence::runner::read_json_file(record_path);
+      const Json& timing = require(record, "timing");
+      const double wall = require(timing, "wall_seconds").as_double();
+      const std::int64_t trials = require(timing, "trials_run").as_int();
+      entry.set("run_record", record_path);
+      entry.set("wall_seconds", wall);
+      entry.set("trials_run", trials);
+      total_wall += wall;
+      total_trials += trials;
+      records.push_back(std::move(record));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: sweep '%s' wrote no readable run record: %s\n",
+                   argv[0], sweep.name.c_str(), e.what());
+      return 1;
     }
     dashboard_sweeps.push_back(std::move(entry));
   }
@@ -312,26 +230,21 @@ int main(int argc, char** argv) {
   totals.set("trials_run", total_trials);
   totals.set("wall_seconds", total_wall);
   dashboard.set("totals", std::move(totals));
-  // The cross-sweep metrics rollup: counters summed, histograms merged
-  // with quantiles recomputed — one place to see the whole campaign's
-  // pipeline counters (built from the per-shard sidecars each fabric
-  // run already merged).
-  if (!metric_docs.empty()) {
-    dashboard.set("metrics", silence::obs::merge_metrics_json(metric_docs));
+  // The cross-sweep rollup, one merge over every sweep's record: the
+  // pipeline counters and histograms, the PHY signal health (integer-only,
+  // so the campaign view is the document one process recording every
+  // sweep would write), and the fleet health of every fabric run (shard
+  // lifecycle counts, pooled attempt-duration quantiles, worker-pool
+  // utilization).
+  const Json merged = silence::fabric::merge_run_records(records);
+  if (const Json* metrics = merged.find("metrics")) {
+    dashboard.set("metrics", *metrics);
   }
-  // The fleet-health rollup from the supervisors' .telemetry.json
-  // sidecars: shard lifecycle counts (dispatch/retry/straggler-kill/
-  // complete), pooled attempt-duration quantiles, and worker-pool
-  // utilization across every fabric run of the campaign.
-  if (!telemetry_docs.empty()) {
-    dashboard.set("fabric_telemetry", merge_fabric_telemetry(telemetry_docs));
+  if (const Json* telemetry = merged.find("telemetry")) {
+    dashboard.set("fabric_telemetry", *telemetry);
   }
-  // PHY signal-health rollup: the .health.json documents are integer-only
-  // snapshots, so summing them across sweeps is exact — the campaign view
-  // is the same document one process recording every sweep would write.
-  if (!health_docs.empty()) {
-    dashboard.set("health", silence::obs::health::merge_health_json(
-                                health_docs));
+  if (const Json* health = merged.find("health")) {
+    dashboard.set("health", *health);
   }
   silence::runner::write_json_file(manifest.output, dashboard);
   std::printf("campaign dashboard written to %s (%zu sweep(s), %lld trials, "

@@ -1,7 +1,7 @@
-// silence_health — renders a `.health.json` PHY signal-health sidecar
-// (obs/health) into human-readable tables.
+// silence_health — renders the PHY signal-health section (obs/health) of
+// a `<stem>.run.json` run record into human-readable tables.
 //
-//   silence_health <file.health.json> [--md FILE] [--csv FILE] [--verify]
+//   silence_health <stem.run.json> [--md FILE] [--csv FILE] [--verify]
 //
 //   (default)     markdown digest to stdout: audit counters, the
 //                 per-subcarrier waterfall table (SNR / EVM / |H| means
@@ -20,15 +20,14 @@
 // row must reproduce the kMisses/kFalseAlarms counters bit-for-bit —
 // that is what --verify asserts.
 //
-// Exit status: 0 = ok, 1 = --verify mismatch, 2 = usage error or
-// unreadable/malformed input.
+// Exit status: 0 = ok, 1 = --verify mismatch, 2 = usage error,
+// unreadable/malformed input, or a record without a `health` section
+// (a SILENCE_OBS=OFF build, or a bench that never touches the CoS path).
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -46,8 +45,8 @@ using silence::obs::Hist;
 int usage(const char* argv0, int code) {
   std::fprintf(
       stderr,
-      "usage: %s <file.health.json> [--md FILE] [--csv FILE] [--verify]\n"
-      "  renders a PHY signal-health sidecar as markdown (stdout or\n"
+      "usage: %s <stem.run.json> [--md FILE] [--csv FILE] [--verify]\n"
+      "  renders a run record's PHY health section as markdown (stdout or\n"
       "  --md FILE) and optionally CSV; --verify cross-checks the\n"
       "  histogram-derived ROC at the configured threshold against the\n"
       "  recorded confusion counters (exit 1 on mismatch)\n",
@@ -61,10 +60,6 @@ std::string fmt(double v) {
   return buf;
 }
 
-std::uint64_t counter(const HealthSnapshot& h, health::Counter c) {
-  return h.counters[static_cast<std::size_t>(c)];
-}
-
 const std::array<Hist, health::kSubcarriers>& waterfall_row(
     const HealthSnapshot& h, health::Waterfall w) {
   return h.waterfalls[static_cast<std::size_t>(w)];
@@ -73,13 +68,6 @@ const std::array<Hist, health::kSubcarriers>& waterfall_row(
 const std::array<Hist, health::kSubcarriers>& score_row(
     const HealthSnapshot& h, health::Truth t) {
   return h.scores[static_cast<std::size_t>(t)];
-}
-
-// One subcarrier row folded into a single whole-band histogram.
-Hist band(const std::array<Hist, health::kSubcarriers>& row) {
-  Hist all;
-  for (const Hist& h : row) all += h;
-  return all;
 }
 
 // The configured threshold (256 = 2^8) is the floor of this bucket, so
@@ -123,8 +111,8 @@ std::string md_render(const HealthSnapshot& h) {
   }
 
   md += "\n## Empirical ROC\n\n";
-  const Hist silent_band = band(silent);
-  const Hist active_band = band(active);
+  const Hist silent_band = health::whole_band(silent);
+  const Hist active_band = health::whole_band(active);
   if (silent_band.count + active_band.count == 0) {
     md += "_no ground-truth labelled detector scores (network runs don't "
           "label; run fig10)_\n";
@@ -146,16 +134,9 @@ std::string md_render(const HealthSnapshot& h) {
       md += "| " + std::to_string(threshold) +
             (threshold == health::kScoreThreshold ? " (configured)" : "") +
             " | " + std::to_string(misses) + " | " +
-            fmt(silent_band.count == 0
-                    ? 0.0
-                    : static_cast<double>(misses) /
-                          static_cast<double>(silent_band.count)) +
-            " | " + std::to_string(false_alarms) + " | " +
-            fmt(active_band.count == 0
-                    ? 0.0
-                    : static_cast<double>(false_alarms) /
-                          static_cast<double>(active_band.count)) +
-            " |\n";
+            fmt(health::rate(misses, silent_band.count)) + " | " +
+            std::to_string(false_alarms) + " | " +
+            fmt(health::rate(false_alarms, active_band.count)) + " |\n";
     }
   }
 
@@ -202,26 +183,17 @@ std::string csv_render(const HealthSnapshot& h) {
 // into the score, so the bucket sums at the configured threshold must
 // reproduce the sim layer's confusion counters exactly.
 int verify(const HealthSnapshot& h) {
-  const Hist silent = band(score_row(h, health::Truth::kSilent));
-  const Hist active = band(score_row(h, health::Truth::kActive));
-  const std::uint64_t hist_misses =
-      silent.count - silent.count_below(kThresholdBucket);
-  const std::uint64_t hist_false_alarms =
-      active.count_below(kThresholdBucket);
-
+  const health::OperatingPoint op = health::operating_point(h);
   struct Check {
     const char* what;
     std::uint64_t histogram;
     std::uint64_t counters;
   };
   const Check checks[] = {
-      {"truth-silent cells", silent.count,
-       counter(h, health::Counter::kTruthSilent)},
-      {"truth-active cells", active.count,
-       counter(h, health::Counter::kTruthActive)},
-      {"misses @256", hist_misses, counter(h, health::Counter::kMisses)},
-      {"false alarms @256", hist_false_alarms,
-       counter(h, health::Counter::kFalseAlarms)},
+      {"truth-silent cells", op.hist_silent, op.truth_silent},
+      {"truth-active cells", op.hist_active, op.truth_active},
+      {"misses @256", op.hist_misses, op.misses},
+      {"false alarms @256", op.hist_false_alarms, op.false_alarms},
   };
   int bad = 0;
   for (const Check& c : checks) {
@@ -237,23 +209,6 @@ int verify(const HealthSnapshot& h) {
     }
   }
   return bad == 0 ? 0 : 1;
-}
-
-bool write_text(const std::string& path, const std::string& text,
-                const char* argv0) {
-  try {
-    const std::filesystem::path p(path);
-    if (p.has_parent_path()) {
-      std::filesystem::create_directories(p.parent_path());
-    }
-    std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot open " + path);
-    out << text;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -282,8 +237,15 @@ int main(int argc, char** argv) {
 
   HealthSnapshot snapshot;
   try {
-    snapshot =
-        health::health_from_json(silence::runner::read_json_file(input_path));
+    const silence::runner::Json record =
+        silence::runner::read_json_file(input_path);
+    const silence::runner::Json* section = record.find("health");
+    if (section == nullptr) {
+      throw std::runtime_error(
+          "run record has no health section (SILENCE_OBS=OFF build, or "
+          "no CoS trials ran)");
+    }
+    snapshot = health::health_from_json(*section);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s: %s\n", argv[0], input_path.c_str(),
                  e.what());
@@ -291,13 +253,14 @@ int main(int argc, char** argv) {
   }
 
   const std::string md = md_render(snapshot);
-  if (md_path.empty()) {
-    if (!do_verify) std::fputs(md.c_str(), stdout);
-  } else if (!write_text(md_path, md, argv[0])) {
-    return 2;
-  }
-  if (!csv_path.empty() && !write_text(csv_path, csv_render(snapshot),
-                                       argv[0])) {
+  if (md_path.empty() && !do_verify) std::fputs(md.c_str(), stdout);
+  try {
+    if (!md_path.empty()) silence::runner::write_text_file(md_path, md);
+    if (!csv_path.empty()) {
+      silence::runner::write_text_file(csv_path, csv_render(snapshot));
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 2;
   }
   return do_verify ? verify(snapshot) : 0;

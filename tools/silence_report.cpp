@@ -1,26 +1,21 @@
 // silence_report — fuses one sweep run's artifacts into a single human
 // + machine readable report.
 //
-//   silence_report <result.json> [--trace FILE] [--timing FILE]
-//                  [--metrics FILE] [--telemetry FILE] [--health FILE]
-//                  [--out BASE]
+//   silence_report <result.json> [--trace FILE] [--out BASE]
 //
 // Inputs:
 //   <result.json>            the deterministic sweep result (JsonSink)
-//   <stem>.timing.json       wall-clock / thread-count sidecar
-//   <stem>.metrics.json      obs counters + latency histograms
-//   <stem>.telemetry.json    fabric supervisor shard-lifecycle telemetry
-//   <stem>.health.json       PHY signal-health sidecar (obs/health)
+//   <stem>.run.json          the run record (fabric/run_record.h): timing,
+//                            obs metrics, PHY health and fabric telemetry
+//                            sections
 //   --trace FILE             Chrome/Perfetto trace (wall spans under
 //                            pid 1, per-station MAC timelines under
 //                            pid 2, phy-health counters under pid 3)
 //
-// Sidecars are auto-discovered next to the result file; an absent
-// auto-discovered sidecar degrades to a note in the report. Naming an
-// input explicitly on the CLI (--trace/--timing/--metrics/--telemetry/
-// --health) makes it REQUIRED: if it is missing or unparseable the tool
-// prints what went wrong and exits nonzero instead of silently omitting
-// the section.
+// The run record is read once from next to the result file. A missing
+// record, or a record without some section, degrades to a note in the
+// report; a record that exists but does not parse is a broken artifact
+// and exits 2. So does a --trace that cannot be read.
 //
 // Output: BASE.md (markdown digest: results table, latency percentiles,
 // per-station MAC table, PHY health, trace track inventory, fleet
@@ -29,13 +24,12 @@
 // results/net_scenarios.report.{md,json}.
 //
 // Exit status: 0 = report written, 2 = usage error, unreadable result,
-// or a missing/unparseable explicitly requested input.
+// unparseable run record or unreadable trace.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -53,15 +47,11 @@ namespace health = silence::obs::health;
 
 int usage(const char* argv0, int code) {
   std::fprintf(stderr,
-               "usage: %s <result.json> [--trace FILE] [--timing FILE]\n"
-               "       [--metrics FILE] [--telemetry FILE] [--health FILE]\n"
-               "       [--out BASE]\n"
-               "  fuses the result file, its .timing/.metrics/.telemetry/\n"
-               "  .health sidecars and (optionally) a Chrome trace into\n"
-               "  BASE.md + BASE.json (default BASE: result stem +\n"
-               "  '.report'). Sidecars are auto-discovered next to the\n"
-               "  result; naming one explicitly makes it required\n"
-               "  (missing or unparseable => exit 2).\n",
+               "usage: %s <result.json> [--trace FILE] [--out BASE]\n"
+               "  fuses the result file, its <stem>.run.json run record\n"
+               "  and (optionally) a Chrome trace into BASE.md + BASE.json\n"
+               "  (default BASE: result stem + '.report'). A missing record\n"
+               "  becomes a note; an unparseable one exits 2.\n",
                argv0);
   return code;
 }
@@ -179,7 +169,7 @@ TraceSummary summarize_trace(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------
-// Per-station rollup out of the .metrics.json histograms/counters.
+// Per-station rollup out of the metrics section's histograms/counters.
 
 struct StationRow {
   std::string label;  // "00", "01", ...
@@ -264,74 +254,7 @@ void md_results_table(std::string& md, const Json& result) {
 }
 
 // ---------------------------------------------------------------------
-// PHY health: .health.json sidecar rollup (obs/health).
-
-// Whole-band rollup of one waterfall kind (or one truth's score row).
-struct BandSummary {
-  std::uint64_t active_cells = 0;  // subcarriers with >= 1 sample
-  Hist all;
-
-  void add(const Hist& h) {
-    if (h.count == 0) return;
-    ++active_cells;
-    all += h;
-  }
-};
-
-BandSummary band_summary(const std::array<Hist, health::kSubcarriers>& row) {
-  BandSummary out;
-  for (const Hist& h : row) out.add(h);
-  return out;
-}
-
-// The detector operating point at the configured threshold, computed two
-// independent ways: from the confusion counters and from the per-truth
-// score histograms. The quantization makes them equal by construction;
-// `consistent` is the cross-check.
-struct OperatingPoint {
-  std::uint64_t truth_silent = 0, truth_active = 0;
-  std::uint64_t misses = 0, false_alarms = 0;
-  std::uint64_t hist_misses = 0, hist_false_alarms = 0;
-  bool consistent = false;
-
-  double miss_rate() const {
-    return truth_silent == 0 ? 0.0
-                             : static_cast<double>(misses) /
-                                   static_cast<double>(truth_silent);
-  }
-  double false_alarm_rate() const {
-    return truth_active == 0 ? 0.0
-                             : static_cast<double>(false_alarms) /
-                                   static_cast<double>(truth_active);
-  }
-};
-
-OperatingPoint operating_point(const health::HealthSnapshot& h) {
-  const auto counter = [&h](health::Counter c) {
-    return h.counters[static_cast<std::size_t>(c)];
-  };
-  OperatingPoint out;
-  out.truth_silent = counter(health::Counter::kTruthSilent);
-  out.truth_active = counter(health::Counter::kTruthActive);
-  out.misses = counter(health::Counter::kMisses);
-  out.false_alarms = counter(health::Counter::kFalseAlarms);
-  // Scores are decision-clamped below kScoreThreshold (= 256 = 2^8), a
-  // bucket floor, so the bucket sum below it is exact, not an estimate.
-  const std::size_t threshold =
-      silence::obs::histogram_bucket(health::kScoreThreshold);
-  const Hist silent =
-      band_summary(h.scores[static_cast<std::size_t>(health::Truth::kSilent)])
-          .all;
-  const Hist active =
-      band_summary(h.scores[static_cast<std::size_t>(health::Truth::kActive)])
-          .all;
-  out.hist_misses = silent.count - silent.count_below(threshold);
-  out.hist_false_alarms = active.count_below(threshold);
-  out.consistent = out.hist_misses == out.misses &&
-                   out.hist_false_alarms == out.false_alarms &&
-                   silent.count == out.truth_silent;
-  return out;
-}
+// PHY health: the run record's health section (obs/health).
 
 void md_health_section(std::string& md, const health::HealthSnapshot& h) {
   const auto counter = [&h](health::Counter c) {
@@ -393,22 +316,24 @@ void md_health_section(std::string& md, const health::HealthSnapshot& h) {
       {health::Waterfall::kChanMag, "|H|", health::kChanScale},
   };
   for (const auto& kind : kKinds) {
-    const BandSummary band =
-        band_summary(h.waterfalls[static_cast<std::size_t>(kind.kind)]);
-    if (band.all.count == 0) {
+    const auto& row = h.waterfalls[static_cast<std::size_t>(kind.kind)];
+    const Hist all = health::whole_band(row);
+    if (all.count == 0) {
       md += std::string("| ") + kind.label + " | 0 | 0 | - | - | - |\n";
       continue;
     }
-    md += std::string("| ") + kind.label + " | " +
-          std::to_string(band.active_cells) + " | " +
-          std::to_string(band.all.count) + " | " +
-          fmt(band.all.mean() / kind.scale) + " | " +
-          fmt(static_cast<double>(band.all.min) / kind.scale) + " | " +
-          fmt(static_cast<double>(band.all.max) / kind.scale) + " |\n";
+    // Subcarriers with at least one sample.
+    const auto cells = std::count_if(row.begin(), row.end(),
+                                     [](const Hist& c) { return c.count > 0; });
+    md += std::string("| ") + kind.label + " | " + std::to_string(cells) +
+          " | " + std::to_string(all.count) + " | " +
+          fmt(all.mean() / kind.scale) + " | " +
+          fmt(static_cast<double>(all.min) / kind.scale) + " | " +
+          fmt(static_cast<double>(all.max) / kind.scale) + " |\n";
   }
 
   // Detector operating point at the configured threshold (score 256).
-  const OperatingPoint op = operating_point(h);
+  const health::OperatingPoint op = health::operating_point(h);
   if (op.truth_silent + op.truth_active > 0) {
     std::snprintf(
         line, sizeof(line),
@@ -419,7 +344,7 @@ void md_health_section(std::string& md, const health::HealthSnapshot& h) {
         static_cast<unsigned long long>(op.truth_active),
         fmt(op.false_alarm_rate()).c_str());
     md += line;
-    md += op.consistent
+    md += op.consistent()
               ? "ROC histogram vs confusion counters: consistent\n"
               : "ROC histogram vs confusion counters: **MISMATCH**\n";
   } else {
@@ -434,8 +359,6 @@ int main(int argc, char** argv) {
   std::string result_path;
   std::string trace_path;
   std::string out_base;
-  // Explicitly named sidecar paths (empty = auto-discover, tolerant).
-  std::string timing_path, metrics_path, telemetry_path, health_path;
   const auto take_value = [&](int& i, std::string& into) {
     if (i + 1 >= argc) return false;
     into = argv[++i];
@@ -446,14 +369,6 @@ int main(int argc, char** argv) {
       return usage(argv[0], 0);
     } else if (!std::strcmp(argv[i], "--trace")) {
       if (!take_value(i, trace_path)) return usage(argv[0], 2);
-    } else if (!std::strcmp(argv[i], "--timing")) {
-      if (!take_value(i, timing_path)) return usage(argv[0], 2);
-    } else if (!std::strcmp(argv[i], "--metrics")) {
-      if (!take_value(i, metrics_path)) return usage(argv[0], 2);
-    } else if (!std::strcmp(argv[i], "--telemetry")) {
-      if (!take_value(i, telemetry_path)) return usage(argv[0], 2);
-    } else if (!std::strcmp(argv[i], "--health")) {
-      if (!take_value(i, health_path)) return usage(argv[0], 2);
     } else if (!std::strcmp(argv[i], "--out")) {
       if (!take_value(i, out_base)) return usage(argv[0], 2);
     } else if (result_path.empty()) {
@@ -473,56 +388,38 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Sidecars. Auto-discovered ones that are absent degrade to a note in
-  // the report; an input the user explicitly asked for must load, so a
-  // missing file fails loudly instead of producing a silently thinner
-  // report. Parse errors are fatal either way — a sidecar that exists
-  // but doesn't parse is a broken artifact, not an optional one.
-  bool load_failed = false;
-  const auto load_sidecar = [&](const std::string& explicit_path,
-                                const std::string& auto_path,
-                                const char* what, Json& into) {
-    const bool required = !explicit_path.empty();
-    const std::string& path = required ? explicit_path : auto_path;
-    if (!std::filesystem::exists(path)) {
-      if (required) {
-        std::fprintf(stderr, "%s: requested %s sidecar does not exist: %s\n",
-                     argv[0], what, path.c_str());
-        load_failed = true;
-      }
-      return false;
-    }
+  // The run record, read once. Absent => every section degrades to a
+  // note; present but unparseable => a broken artifact, exit 2.
+  const std::string record_path =
+      silence::runner::run_record_path(result_path);
+  Json record = Json::object();
+  if (std::filesystem::exists(record_path)) {
     try {
-      into = silence::runner::read_json_file(path);
+      record = silence::runner::read_json_file(record_path);
+      if (!record.is_object()) throw std::runtime_error("not an object");
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: cannot parse %s sidecar %s: %s\n", argv[0],
-                   what, path.c_str(), e.what());
-      load_failed = true;
-      return false;
+      std::fprintf(stderr, "%s: cannot parse run record %s: %s\n", argv[0],
+                   record_path.c_str(), e.what());
+      return 2;
     }
-    return true;
+  }
+  // A note for a section the report cannot show.
+  const auto missing = [&](const std::string& section,
+                           const std::string& hint) {
+    if (record.size() == 0) return "_no run record `" + record_path + "`_";
+    return "_no " + section + " section in the run record (" + hint + ")_";
   };
-  Json timing, metrics, telemetry, health_doc;
-  const bool have_timing = load_sidecar(
-      timing_path, silence::runner::timing_sidecar_path(result_path),
-      "timing", timing);
-  const bool have_metrics = load_sidecar(
-      metrics_path, silence::runner::metrics_sidecar_path(result_path),
-      "metrics", metrics);
-  const bool have_telemetry = load_sidecar(
-      telemetry_path, silence::runner::telemetry_sidecar_path(result_path),
-      "telemetry", telemetry);
-  const bool have_health = load_sidecar(
-      health_path, silence::runner::health_sidecar_path(result_path),
-      "health", health_doc);
-  if (load_failed) return 2;
+  const Json* timing = record.find("timing");
+  const Json* metrics = record.find("metrics");
+  const Json* telemetry = record.find("telemetry");
+  const Json* health_doc = record.find("health");
 
   health::HealthSnapshot health_snapshot;
-  if (have_health) {
+  if (health_doc != nullptr) {
     try {
-      health_snapshot = health::health_from_json(health_doc);
+      health_snapshot = health::health_from_json(*health_doc);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: malformed health sidecar: %s\n", argv[0],
+      std::fprintf(stderr, "%s: malformed health section: %s\n", argv[0],
                    e.what());
       return 2;
     }
@@ -542,7 +439,7 @@ int main(int argc, char** argv) {
 
   const std::string bench = string_field(result, "bench", "(unknown)");
   const std::vector<StationRow> stations =
-      have_metrics ? station_rows(metrics) : std::vector<StationRow>{};
+      metrics != nullptr ? station_rows(*metrics) : std::vector<StationRow>{};
 
   // ----- markdown -----
   std::string md;
@@ -550,30 +447,29 @@ int main(int argc, char** argv) {
   md += string_field(result, "title") + " — " +
         string_field(result, "description") + "\n\n";
   md += "- result: `" + result_path + "`\n";
-  if (have_timing) {
+  if (timing != nullptr) {
     char line[160];
     std::snprintf(line, sizeof(line),
                   "- timing: %.2f s wall, %d thread(s), %lld trial(s)\n",
-                  number_field(timing, "wall_seconds", 0.0),
-                  static_cast<int>(number_field(timing, "threads", 0.0)),
+                  number_field(*timing, "wall_seconds", 0.0),
+                  static_cast<int>(number_field(*timing, "threads", 0.0)),
                   static_cast<long long>(
-                      number_field(timing, "trials_run", 0.0)));
+                      number_field(*timing, "trials_run", 0.0)));
     md += line;
   } else {
-    md += "- timing: _no .timing.json sidecar_\n";
+    md += "- timing: " + missing("timing", "incomplete record") + "\n";
   }
   md += "\n## Results\n\n";
   md_results_table(md, result);
 
   md += "\n## Latency metrics\n\n";
-  if (!have_metrics) {
-    md += "_no .metrics.json sidecar (run with --json under "
-          "SILENCE_OBS=ON)_\n";
+  if (metrics == nullptr) {
+    md += missing("metrics", "run with --json under SILENCE_OBS=ON") + "\n";
   } else {
     md += "| histogram | count | mean | p50 | p95 | p99 |\n"
           "| --- | --- | --- | --- | --- | --- |\n";
     std::size_t listed = 0;
-    if (const Json* histograms = field(metrics, "histograms")) {
+    if (const Json* histograms = field(*metrics, "histograms")) {
       for (const auto& [name, entry] : histograms->as_object()) {
         // The per-station rows get their own table below.
         if (name.rfind("net.sta.", 0) == 0) continue;
@@ -603,9 +499,8 @@ int main(int argc, char** argv) {
   }
 
   md += "\n## PHY health\n\n";
-  if (!have_health) {
-    md += "_no .health.json sidecar (run with --json under "
-          "SILENCE_OBS=ON)_\n";
+  if (health_doc == nullptr) {
+    md += missing("health", "run with --json under SILENCE_OBS=ON") + "\n";
   } else {
     md_health_section(md, health_snapshot);
   }
@@ -634,11 +529,17 @@ int main(int argc, char** argv) {
   }
 
   md += "\n## Fabric telemetry\n\n";
-  if (!have_telemetry) {
-    md += "_no .telemetry.json sidecar (single-process run, or the fabric "
-          "recorded no events)_\n";
+  if (telemetry == nullptr) {
+    md += missing("telemetry",
+                  "single-process run, or the fabric recorded no events") +
+          "\n";
   } else {
-    const Json* summary = field(telemetry, "summary");
+    static const Json kNoSummary = Json::object();
+    const Json* found = field(*telemetry, "summary");
+    const Json& summary = found != nullptr ? *found : kNoSummary;
+    const auto count = [&summary](const char* key) {
+      return static_cast<long long>(number_field(summary, key, 0.0));
+    };
     char line[360];
     std::snprintf(
         line, sizeof(line),
@@ -646,37 +547,23 @@ int main(int argc, char** argv) {
         "%lld complete(s), %lld retry(ies), %lld straggler kill(s), "
         "%lld worker failure(s), %lld artifact reject(s); utilization "
         "%.0f%%\n",
-        static_cast<int>(number_field(telemetry, "workers", 0.0)),
-        static_cast<long long>(number_field(telemetry, "shards", 0.0)),
-        number_field(telemetry, "wall_seconds", 0.0),
-        static_cast<long long>(
-            summary ? number_field(*summary, "dispatches", 0.0) : 0.0),
-        static_cast<long long>(
-            summary ? number_field(*summary, "completes", 0.0) : 0.0),
-        static_cast<long long>(
-            summary ? number_field(*summary, "retries", 0.0) : 0.0),
-        static_cast<long long>(
-            summary ? number_field(*summary, "straggler_kills", 0.0) : 0.0),
-        static_cast<long long>(
-            summary ? number_field(*summary, "worker_failures", 0.0) : 0.0),
-        static_cast<long long>(
-            summary ? number_field(*summary, "artifact_rejects", 0.0) : 0.0),
-        100.0 *
-            (summary ? number_field(*summary, "worker_utilization", 0.0)
-                     : 0.0));
+        static_cast<int>(number_field(*telemetry, "workers", 0.0)),
+        static_cast<long long>(number_field(*telemetry, "shards", 0.0)),
+        number_field(*telemetry, "wall_seconds", 0.0), count("dispatches"),
+        count("completes"), count("retries"), count("straggler_kills"),
+        count("worker_failures"), count("artifact_rejects"),
+        100.0 * number_field(summary, "worker_utilization", 0.0));
     md += line;
-    if (summary != nullptr) {
-      if (const Json* attempts = field(*summary, "attempt_seconds")) {
-        std::snprintf(line, sizeof(line),
-                      "\nattempt duration: %s/%s/%s s (p50/p95/p99) over "
-                      "%lld attempt(s)\n",
-                      fmt(number_field(*attempts, "p50", 0.0)).c_str(),
-                      fmt(number_field(*attempts, "p95", 0.0)).c_str(),
-                      fmt(number_field(*attempts, "p99", 0.0)).c_str(),
-                      static_cast<long long>(
-                          number_field(*attempts, "count", 0.0)));
-        md += line;
-      }
+    if (const Json* attempts = field(summary, "attempt_seconds")) {
+      std::snprintf(line, sizeof(line),
+                    "\nattempt duration: %s/%s/%s s (p50/p95/p99) over "
+                    "%lld attempt(s)\n",
+                    fmt(number_field(*attempts, "p50", 0.0)).c_str(),
+                    fmt(number_field(*attempts, "p95", 0.0)).c_str(),
+                    fmt(number_field(*attempts, "p99", 0.0)).c_str(),
+                    static_cast<long long>(
+                        number_field(*attempts, "count", 0.0)));
+      md += line;
     }
   }
   md += "\n";
@@ -686,9 +573,9 @@ int main(int argc, char** argv) {
   report.set("schema_version", 1);
   report.set("bench", bench);
   report.set("result", result_path);
-  if (have_timing) report.set("timing", timing);
-  if (have_metrics) {
-    report.set("metrics", metrics);
+  if (timing != nullptr) report.set("timing", *timing);
+  if (metrics != nullptr) {
+    report.set("metrics", *metrics);
     Json sta_rows = Json::array();
     for (const StationRow& row : stations) {
       Json r = Json::object();
@@ -704,10 +591,10 @@ int main(int argc, char** argv) {
     }
     report.set("stations", std::move(sta_rows));
   }
-  if (have_telemetry) report.set("fabric_telemetry", telemetry);
-  if (have_health) {
-    report.set("health", health_doc);
-    const OperatingPoint op = operating_point(health_snapshot);
+  if (telemetry != nullptr) report.set("fabric_telemetry", *telemetry);
+  if (health_doc != nullptr) {
+    report.set("health", *health_doc);
+    const health::OperatingPoint op = health::operating_point(health_snapshot);
     Json roc = Json::object();
     roc.set("truth_silent", static_cast<std::int64_t>(op.truth_silent));
     roc.set("truth_active", static_cast<std::int64_t>(op.truth_active));
@@ -715,7 +602,7 @@ int main(int argc, char** argv) {
     roc.set("false_alarms", static_cast<std::int64_t>(op.false_alarms));
     roc.set("miss_rate", op.miss_rate());
     roc.set("false_alarm_rate", op.false_alarm_rate());
-    roc.set("histogram_consistent", op.consistent);
+    roc.set("histogram_consistent", op.consistent());
     report.set("detector_operating_point", std::move(roc));
   }
   if (!trace_path.empty() && trace.loaded) {
@@ -743,13 +630,7 @@ int main(int argc, char** argv) {
   const std::string md_path = out_base + ".md";
   const std::string json_path = out_base + ".json";
   try {
-    const std::filesystem::path p(md_path);
-    if (p.has_parent_path()) {
-      std::filesystem::create_directories(p.parent_path());
-    }
-    std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot open " + md_path);
-    out << md;
+    silence::runner::write_text_file(md_path, md);
     silence::runner::write_json_file(json_path, report);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
