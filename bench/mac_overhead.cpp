@@ -3,14 +3,15 @@
 //
 // Scenario: an AP runs a saturated downlink while coordinating uplink
 // transmissions from N stations. Three designs are compared (see
-// mac/coordination.h): plain DCF contention, explicit poll frames, and
-// CoS grants riding inside downlink data packets.
+// net/coordination.h): plain DCF contention on net::NetSim, explicit
+// poll frames, and CoS grants riding inside downlink data packets.
 #include <cstdio>
 
 #include "bench_util.h"
-#include "mac/coordination.h"
+#include "net/coordination.h"
 
 using namespace silence;
+using namespace silence::net;
 
 namespace {
 

@@ -69,10 +69,9 @@ class NetSim {
 
   // Processes events until simulated time passes `t_us` (every event
   // with timestamp <= t_us runs), leaving mid-run state observable via
-  // the accessors below. Rate controllers (ROADMAP item 2) hook in
-  // here: step, read, adjust, repeat. When the queue drains with every
-  // BSS dormant (open-loop traffic that ran out of arrivals) and `t_us`
-  // has reached the scenario horizon, the run is finished off so the
+  // the accessors below. When the queue drains with every BSS dormant
+  // (open-loop traffic that ran out of arrivals) and `t_us` has reached
+  // the scenario horizon, the run is finished off so the
   // `while (!sim.done()) sim.step_until(t)` driver pattern terminates.
   void step_until(double t_us);
 

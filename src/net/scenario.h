@@ -24,7 +24,6 @@
 
 #include "channel/fading.h"
 #include "core/cos_profile.h"
-#include "mac/contention.h"  // AirtimeBreakdown
 #include "net/topology.h"
 #include "obs/hist.h"
 #include "runner/json.h"
@@ -83,6 +82,19 @@ struct Scenario {
 
 // Kept for perfbench/net_workload.cpp, its only remaining user.
 using SlotHist = obs::Hist;
+
+// Where a run's medium time went.
+struct AirtimeBreakdown {
+  double data_us = 0.0;
+  double ack_us = 0.0;
+  double control_us = 0.0;  // explicit polls (never under DCF or CoS)
+  double idle_us = 0.0;     // backoff slots + DIFS/SIFS gaps
+  double collision_us = 0.0;
+
+  double total_us() const {
+    return data_us + ack_us + control_us + idle_us + collision_us;
+  }
+};
 
 // Per-station tallies; mergeable across trials with +=.
 struct StaStats {

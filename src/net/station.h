@@ -74,8 +74,8 @@ class Station {
 
   // Airtime its next PPDU would occupy, at the rate the session would
   // pick right now. Collisions are charged this much medium time without
-  // running the PHY (matching mac/contention.cpp). Under rate
-  // adaptation this reads the channel, so it catches up first.
+  // running the PHY. Under rate adaptation this reads the channel, so
+  // it catches up first.
   double nominal_airtime_us();
 
   // Queues `seconds` of other-station airtime for the fading process;
