@@ -81,7 +81,7 @@ void ablate_evd() {
         CxVec samples = tx.samples;
         const double nv =
             noise_var_for_snr_db(mcs.min_required_snr_db + margin);
-        for (auto& x : samples) x += rng.complex_gaussian(nv);
+        rng.add_complex_gaussian(samples, nv);
         const FrontEndResult fe = receiver_front_end(samples);
         if (!fe.signal) continue;
         evd += decode_data_symbols(fe, mcs, 1024, &tx.plan.mask).crc_ok;

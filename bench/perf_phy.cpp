@@ -1,6 +1,7 @@
 // PHY throughput microbenchmarks (google-benchmark): the hot paths of the
 // simulator — FFT, Viterbi decoding, the full transmit and receive chains,
-// and the CoS additions (energy detection, silence planning).
+// the CoS additions (energy detection, silence planning), the fading
+// channel and its Gaussian noise kernel.
 //
 // Besides the console table, every run writes `results/BENCH_phy.json`
 // (per-stage ns/op and items/sec) through the runner's JSON sink so PRs
@@ -12,7 +13,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "channel/fading.h"
 #include "common/crc32.h"
@@ -167,6 +170,40 @@ void BM_FadingChannelTransmit(benchmark::State& state) {
                           static_cast<long>(samples.size()));
 }
 BENCHMARK(BM_FadingChannelTransmit);
+
+// The per-sample noise kernel every channel loop draws through, against
+// the per-call std::normal_distribution on std::mt19937_64 it replaced
+// (the same values, bit for bit, under libstdc++). The reference row is a
+// calibration row measured in the same process: CI gates the ratio of the
+// two, which does not depend on machine speed.
+constexpr std::size_t kGaussianBlock = 4096;
+
+void BM_GaussianBlock(benchmark::State& state) {
+  Rng rng(8);
+  std::vector<double> out(kGaussianBlock);
+  for (auto _ : state) {
+    rng.fill_gaussian(out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(kGaussianBlock));
+}
+BENCHMARK(BM_GaussianBlock);
+
+void BM_GaussianStdReference(benchmark::State& state) {
+  std::mt19937_64 engine(8);
+  std::normal_distribution<double> normal(0.0, 1.0);
+  std::vector<double> out(kGaussianBlock);
+  for (auto _ : state) {
+    for (double& x : out) x = normal(engine);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(kGaussianBlock));
+}
+BENCHMARK(BM_GaussianStdReference);
 
 // Console output as usual, plus a structured record of every run for the
 // perf-baseline file.

@@ -1,5 +1,7 @@
 #include "channel/interference.h"
 
+#include <algorithm>
+
 #include "phy/params.h"
 
 namespace silence {
@@ -11,9 +13,7 @@ void PulseInterferer::apply(std::span<Cx> samples, Rng& rng) const {
     const std::size_t end =
         std::min(base + static_cast<std::size_t>(kSymbolSamples),
                  samples.size());
-    for (std::size_t n = base; n < end; ++n) {
-      samples[n] += rng.complex_gaussian(pulse_power);
-    }
+    rng.add_complex_gaussian(samples.subspan(base, end - base), pulse_power);
   }
 }
 

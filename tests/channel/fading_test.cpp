@@ -201,6 +201,47 @@ TEST(Fading, HoistedBisectionIsBitExact) {
   }
 }
 
+// advance() draws every tap's innovation as one block of
+// Rng::fill_gaussian; the direct form is one complex_gaussian per tap.
+// Rayleigh taps (no LOS part), so the taps are the scattered part and the
+// constructor draws one complex_gaussian per tap of the normalized
+// exponential power-delay profile.
+TEST(Fading, AdvanceBlockDrawsAreBitExact) {
+  for (int num_taps = 1; num_taps <= 16; ++num_taps) {
+    MultipathProfile profile;
+    profile.num_taps = num_taps;
+    profile.rician_k_linear = 0.0;
+    std::vector<double> var(static_cast<std::size_t>(num_taps));
+    double total = 0.0;
+    for (std::size_t l = 0; l < var.size(); ++l) {
+      var[l] = std::exp(-static_cast<double>(l) / profile.decay_taps);
+      total += var[l];
+    }
+    for (double& v : var) v /= total;
+    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234567ULL}) {
+      FadingChannel channel(profile, seed);
+      Rng rng(seed);
+      std::vector<Cx> scatter;
+      for (const double v : var) scatter.push_back(rng.complex_gaussian(v));
+      for (const double dt : {0.0, 1e-3, 4e-3, 30e-3}) {
+        channel.advance(dt);
+        const double rho = std::max(
+            0.0, std::cyl_bessel_j(0.0, 2.0 * std::numbers::pi *
+                                            profile.doppler_hz * dt));
+        for (std::size_t l = 0; l < var.size(); ++l) {
+          if (dt > 0.0) {
+            scatter[l] = rho * scatter[l] +
+                         rng.complex_gaussian((1.0 - rho * rho) * var[l]);
+          }
+          ASSERT_TRUE(channel.taps()[l] == scatter[l])
+              << "taps " << num_taps << " seed " << seed << " dt " << dt
+              << " tap " << l;
+        }
+      }
+    }
+  }
+}
+
 TEST(Fading, MultipathConvolutionImpulse) {
   MultipathProfile profile;
   FadingChannel channel(profile, 5);

@@ -2,7 +2,8 @@
 //
 // This binary replaces the global operator new/delete with counting
 // versions (test-only; nothing in src/ knows about them) and asserts the
-// two properties the workspace refactor exists to provide:
+// properties the workspace refactor and the Gaussian block kernel exist
+// to provide:
 //
 //  1. Per-symbol kernels (time<->bins transforms, equalization, the
 //     fixed-point Viterbi with a warm workspace) allocate *nothing*.
@@ -10,6 +11,8 @@
 //     allocations that does not depend on the number of OFDM symbols —
 //     result buffers are single flat allocations, so doubling the packet
 //     grows allocation *sizes* but not allocation *counts*.
+//  3. The Gaussian block kernel (Rng::fill_gaussian) and the channel's
+//     noise add built on it allocate nothing.
 //
 // The hooks live in this dedicated binary because replacing operator new
 // is a process-wide decision that must not leak into other test targets.
@@ -19,6 +22,7 @@
 #include <gtest/gtest.h>
 #include <new>
 
+#include "channel/fading.h"
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "core/cos_link.h"
@@ -124,6 +128,30 @@ TEST(AllocCount, PerSymbolKernelsAllocateNothing) {
     }
   });
   EXPECT_EQ(n, 0u) << "per-symbol OFDM kernels must not allocate";
+}
+
+TEST(AllocCount, GaussianBlockAndChannelNoiseAllocateNothing) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts unreliable under sanitizers";
+  // The block kernel's scratch lives on the stack: a per-Rng buffer would
+  // grow every station's three generators.
+  static_assert(sizeof(Rng) <= sizeof(Mt19937_64) + 2 * sizeof(double),
+                "Rng holds only its engine and the saved polar value");
+  Rng rng(11);
+  std::vector<double> normals(5000);
+  const std::size_t n_fill = allocations_during([&] {
+    for (int rep = 0; rep < 8; ++rep) rng.fill_gaussian(normals);
+  });
+  EXPECT_EQ(n_fill, 0u) << "fill_gaussian must not allocate";
+
+  // The channel's only allocation is its output vector: the noise add
+  // draws through the same stack-buffered kernel.
+  const FadingChannel channel(MultipathProfile{}, 12);
+  const CxVec samples(4000, Cx{0.5, 0.5});
+  const double noise_var = noise_var_for_snr_db(15.0);
+  (void)channel.transmit(samples, noise_var, rng);  // warm obs registries
+  const std::size_t n_transmit = allocations_during(
+      [&] { (void)channel.transmit(samples, noise_var, rng); });
+  EXPECT_EQ(n_transmit, 1u) << "transmit allocates only its output";
 }
 
 TEST(AllocCount, WarmViterbiFixedAllocatesNothing) {
