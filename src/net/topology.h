@@ -36,7 +36,9 @@ struct Topology {
     friend bool operator==(const Bss&, const Bss&) = default;
   };
 
-  std::vector<Bss> bss{Bss{}};
+  // One default BSS, sized rather than brace-listed: GCC 12 reports a
+  // false -Wmaybe-uninitialized on an aggregate in an initializer_list.
+  std::vector<Bss> bss = std::vector<Bss>(1);
   // N*N row-major sensing matrix over global station indices (N =
   // total_stations()); entry [i*N + j] != 0 means station i hears
   // station j. Empty = full sensing. The diagonal is ignored.

@@ -58,6 +58,10 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
+// GCC sees free() on a pointer from `new` and warns; the operator new
+// above is malloc-backed, so the pair matches.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -66,6 +70,7 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
+#pragma GCC diagnostic pop
 
 namespace silence {
 namespace {
