@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -19,6 +20,19 @@
 #include "runner/executor.h"
 
 namespace silence::bench {
+
+// Runs a bench's main body. An exception that would escape main (a
+// fabric shard that failed on every attempt, an unreadable input file)
+// is printed to stderr and ends the process with exit status 1, where
+// it would otherwise abort through std::terminate.
+inline int run_main(int (*body)(int, char**), int argc, char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 1;
+  }
+}
 
 inline void print_header(const char* figure, const char* description) {
   std::printf("=============================================================\n");

@@ -178,7 +178,7 @@ PointResult point_from_json(const runner::Json& row) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const bench::BenchArgs args =
       bench::parse_bench_args(argc, argv, "fig09_capacity");
   const int packets =
@@ -266,4 +266,8 @@ int main(int argc, char** argv) {
   }
   bench::finish_observability(args);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(bench_main, argc, argv);
 }

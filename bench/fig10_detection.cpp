@@ -351,7 +351,7 @@ runner::SweepReport part_d(const bench::BenchArgs& args,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const bench::BenchArgs args =
       bench::parse_bench_args(argc, argv, "fig10_detection");
   fabric::Fabric fab(bench::fabric_config(args));
@@ -400,4 +400,8 @@ int main(int argc, char** argv) {
   }
   bench::finish_observability(args);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(bench_main, argc, argv);
 }

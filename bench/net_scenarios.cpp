@@ -197,7 +197,7 @@ runner::Json net_point_row(std::int64_t stas, const net::NetResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   std::string stas_csv;
   std::string topology_path;
   std::string traffic_spec = "saturated";
@@ -382,4 +382,8 @@ int main(int argc, char** argv) {
 
   bench::finish_observability(args);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(bench_main, argc, argv);
 }

@@ -100,7 +100,7 @@ GoodputCounts run_config(double measured_snr_db, int control_rate_multiplier,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const bench::BenchArgs args =
       bench::parse_bench_args(argc, argv, "throughput_curves");
   const int packets =
@@ -164,4 +164,8 @@ int main(int argc, char** argv) {
   }
   bench::finish_observability(args);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(bench_main, argc, argv);
 }

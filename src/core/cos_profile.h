@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "core/energy_detector.h"
@@ -26,8 +27,14 @@ struct CosProfile {
   // Logical data-subcarrier indices (0..47) carrying the control
   // channel, in logical numbering order. Before any selection feedback
   // arrives this is the bootstrap set; the paper's Fig. 10(a) uses the
-  // contiguous block [10..17].
-  std::vector<int> control_subcarriers = {10, 11, 12, 13, 14, 15, 16, 17};
+  // contiguous block [10..17], filled rather than brace-listed: GCC 12
+  // reports a false -Wmaybe-uninitialized on a vector built from an
+  // initializer_list.
+  std::vector<int> control_subcarriers = [] {
+    std::vector<int> indices(8);
+    std::iota(indices.begin(), indices.end(), 10);
+    return indices;
+  }();
   // Bits per silence interval (k in the paper's interval code).
   int bits_per_interval = kDefaultBitsPerInterval;
   // Energy-detector tuning. `detector.modulation` is transient RX state

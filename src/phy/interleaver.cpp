@@ -108,19 +108,28 @@ std::vector<double> deinterleave_symbol_llrs(std::span<const double> llrs,
   return out;
 }
 
-Bits interleave(std::span<const std::uint8_t> bits, const Mcs& mcs) {
+void interleave_into(std::span<const std::uint8_t> bits, const Mcs& mcs,
+                     Bits& out) {
   const auto n = static_cast<std::size_t>(mcs.n_cbps);
   if (bits.size() % n != 0) {
     throw std::invalid_argument("interleave: not a whole number of symbols");
   }
   std::vector<int> local;
   const auto perm = permutation_for(mcs.n_cbps, mcs.n_bpsc, local);
-  Bits out(bits.size());
+  out.resize(bits.size());
+  // One symbol at a time through local pointers: a byte store may alias
+  // `out` itself, and indexing from the symbol's base keeps the inner
+  // loop to a load, an index load and a store.
   for (std::size_t base = 0; base < bits.size(); base += n) {
-    for (std::size_t k = 0; k < n; ++k) {
-      out[base + static_cast<std::size_t>(perm[k])] = bits[base + k];
-    }
+    std::uint8_t* const dst = out.data() + base;
+    const std::uint8_t* const src = bits.data() + base;
+    for (std::size_t k = 0; k < n; ++k) dst[perm[k]] = src[k];
   }
+}
+
+Bits interleave(std::span<const std::uint8_t> bits, const Mcs& mcs) {
+  Bits out;
+  interleave_into(bits, mcs, out);
   return out;
 }
 

@@ -41,6 +41,8 @@ std::vector<double> deinterleave_llrs(std::span<const double> llrs,
 
 // Allocation-free variants writing into a caller buffer (resized to the
 // input length; capacity is reused across calls).
+void interleave_into(std::span<const std::uint8_t> bits, const Mcs& mcs,
+                     Bits& out);
 void deinterleave_symbol_llrs_into(std::span<const double> llrs,
                                    const Mcs& mcs, std::vector<double>& out);
 void deinterleave_llrs_into(std::span<const double> llrs, const Mcs& mcs,

@@ -126,8 +126,15 @@ void map_bits_into(std::span<const std::uint8_t> bits, Modulation mod,
   if (out.size() != bits.size() / n) {
     throw std::invalid_argument("map_bits_into: output size mismatch");
   }
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = map_symbol(bits.subspan(i * n, n), mod);
+  // constellation() holds map_symbol's points, indexed by their bits MSB
+  // first.
+  const auto points = constellation(mod);
+  const std::uint8_t* b = bits.data();
+  for (Cx& point : out) {
+    std::size_t index = 0;
+    for (std::size_t k = 0; k < n; ++k) index = (index << 1) | (b[k] & 1U);
+    point = points[index];
+    b += n;
   }
 }
 

@@ -107,41 +107,47 @@ FrontEndResult receiver_front_end(std::span<const Cx> samples) {
 FrontEndResult receiver_front_end(std::span<const Cx> raw_samples,
                                   PhyWorkspace& ws) {
   FrontEndResult fe;
-  if (raw_samples.size() <
-      static_cast<std::size_t>(kPreambleSamples + kSymbolSamples)) {
-    return fe;
-  }
+  constexpr auto kHead =
+      static_cast<std::size_t>(kPreambleSamples + kSymbolSamples);
+  if (raw_samples.size() < kHead) return fe;
   OBS_SPAN("phy.rx.frontend");
   OBS_COUNT("phy.rx.packets");
   fe.preamble_ok = true;
 
   // Carrier synchronization: coarse CFO from the STF periodicity, then a
   // fine pass on the (coarse-corrected) LTF. On an offset-free input the
-  // estimates are noise-level and the correction is a no-op.
-  ws.corrected.assign(raw_samples.begin(), raw_samples.end());
+  // estimates are noise-level and the correction is a no-op. Only the
+  // preamble and the SIGNAL symbol are rotated here; the rest of the
+  // burst waits until SIGNAL parses and fits (most bursts on a contended
+  // medium never do), then continues both phase accumulators, so every
+  // sample still sees the same two rotations by the same angles.
   CxVec& corrected = ws.corrected;
+  const auto raw_head = raw_samples.first(kHead);
+  corrected.assign(raw_head.begin(), raw_head.end());
+  double coarse = 0.0;
+  double fine = 0.0;
+  double coarse_phase = 0.0;
+  double fine_phase = 0.0;
   {
     OBS_SPAN("phy.rx.sync");
-    const double coarse =
-        estimate_cfo_coarse(std::span(corrected).first(kStfSamples));
-    correct_cfo(corrected, coarse);
-    const double fine = estimate_cfo_fine(
+    coarse = estimate_cfo_coarse(std::span(corrected).first(kStfSamples));
+    coarse_phase = correct_cfo(corrected, coarse);
+    fine = estimate_cfo_fine(
         std::span(corrected).subspan(kStfSamples, kLtfSamples));
-    correct_cfo(corrected, fine);
+    fine_phase = correct_cfo(corrected, fine);
     fe.cfo_hz = coarse + fine;
-    OBS_COUNT_N("phy.rx.sync.items", corrected.size());
+    OBS_COUNT_N("phy.rx.sync.items", kHead);
   }
-  const std::span<const Cx> samples(corrected);
+  const std::span<const Cx> head(corrected);
 
   {
     OBS_SPAN("phy.rx.channel_est");
-    fe.channel = estimate_channel(samples.subspan(kStfSamples, kLtfSamples));
+    fe.channel = estimate_channel(head.subspan(kStfSamples, kLtfSamples));
   }
 
   // First-pass noise estimate from the SIGNAL symbol's pilots, refined
   // below by averaging over the data symbols.
-  const auto signal_samples =
-      samples.subspan(kPreambleSamples, kSymbolSamples);
+  const auto signal_samples = head.subspan(kPreambleSamples, kSymbolSamples);
   std::array<Cx, kFftSize> signal_bins;
   time_to_bins_into(signal_samples, signal_bins);
   double noise_sum = pilot_noise_estimate(signal_bins, fe.channel, 0);
@@ -161,10 +167,20 @@ FrontEndResult receiver_front_end(std::span<const Cx> raw_samples,
       static_cast<std::size_t>(kPreambleSamples) +
       static_cast<std::size_t>(kSymbolSamples) *
           static_cast<std::size_t>(1 + n_sym);
-  if (samples.size() < needed) {
+  if (raw_samples.size() < needed) {
     fe.signal.reset();
     return fe;
   }
+  {
+    OBS_SPAN("phy.rx.sync");
+    const auto raw_rest = raw_samples.subspan(kHead);
+    corrected.insert(corrected.end(), raw_rest.begin(), raw_rest.end());
+    const auto rest = std::span(corrected).subspan(kHead);
+    correct_cfo(rest, coarse, coarse_phase);
+    correct_cfo(rest, fine, fine_phase);
+    OBS_COUNT_N("phy.rx.sync.items", rest.size());
+  }
+  const std::span<const Cx> samples(corrected);
 
   {
     OBS_SPAN("phy.rx.fft");

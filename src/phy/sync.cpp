@@ -39,13 +39,13 @@ double estimate_cfo_fine(std::span<const Cx> ltf_samples) {
   return cfo_from_lag(ltf_samples.subspan(32), 64);
 }
 
-void correct_cfo(std::span<Cx> samples, double cfo_hz) {
+double correct_cfo(std::span<Cx> samples, double cfo_hz, double phase) {
   const double step = -2.0 * std::numbers::pi * cfo_hz / kSampleRateHz;
-  double phase = 0.0;
   for (Cx& x : samples) {
     x *= Cx{std::cos(phase), std::sin(phase)};
     phase += step;
   }
+  return phase;
 }
 
 std::optional<std::size_t> detect_frame_start(std::span<const Cx> samples,

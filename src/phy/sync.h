@@ -19,8 +19,11 @@ double estimate_cfo_coarse(std::span<const Cx> stf_samples);
 // (lag 64, unambiguous to +-156.25 kHz).
 double estimate_cfo_fine(std::span<const Cx> ltf_samples);
 
-// Derotates a burst in place by `cfo_hz`.
-void correct_cfo(std::span<Cx> samples, double cfo_hz);
+// Derotates a burst in place by `cfo_hz`, starting at rotation angle
+// `phase`, and returns the angle the next sample would get. Rotating a
+// burst in two pieces, passing the first call's return value to the
+// second, gives the same bits as rotating it whole.
+double correct_cfo(std::span<Cx> samples, double cfo_hz, double phase = 0.0);
 
 // --- Packet detection / symbol timing ----------------------------------
 

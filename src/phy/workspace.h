@@ -38,7 +38,8 @@ struct FftRowTile {
 };
 
 struct PhyWorkspace {
-  // RX: CFO-corrected copy of the incoming burst.
+  // RX: CFO-corrected copy of the incoming burst (only its preamble and
+  // SIGNAL symbol when SIGNAL fails or the burst is short of LENGTH).
   CxVec corrected;
   // RX: demapped LLR stream (symbol order) and its deinterleaved form.
   std::vector<double> llrs;
@@ -50,6 +51,8 @@ struct PhyWorkspace {
   // RX: re-encoded decoder output (observability's corrected-bit count).
   Bits recode_mother;
   Bits recoded;
+  // TX: interleaved coded stream, the constellation mapper's input.
+  Bits interleaved;
   // RX/TX: Viterbi survivor storage and quantized branch metrics.
   ViterbiWorkspace viterbi;
   // RX/TX: data- and trailer-symbol FFT/IFFT tile.

@@ -17,6 +17,7 @@ Standard library only.
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -64,13 +65,21 @@ def path(*parts):
     return os.path.join(WORK, *parts)
 
 
-def run(tool, *args, cwd=None, env=None, code=0):
-    """Runs a built binary (cwd defaults to the work dir); checks its exit code."""
+def run(tool, *args, cwd=None, env=None, code=0, stderr=False):
+    """Runs a built binary (cwd defaults to the work dir); checks its exit code.
+
+    With stderr=True the binary's stderr is captured, echoed and returned.
+    """
     env = env or {}
     cmd = [BIN[tool]] + [str(a) for a in args]
     print('+', *[f'{k}={v}' for k, v in env.items()], *cmd, flush=True)
-    rc = subprocess.run(cmd, cwd=cwd or WORK, env=dict(os.environ, **env)).returncode
-    need(rc == code, f'{os.path.basename(cmd[0])} exited {rc}, expected {code}')
+    proc = subprocess.run(cmd, cwd=cwd or WORK, env=dict(os.environ, **env),
+                          stderr=subprocess.PIPE if stderr else None, text=stderr)
+    if stderr:
+        print(proc.stderr, end='', file=sys.stderr, flush=True)
+    need(proc.returncode == code,
+         f'{os.path.basename(cmd[0])} exited {proc.returncode}, expected {code}')
+    return proc.stderr
 
 
 def load(p):
@@ -172,6 +181,18 @@ def fabric_identity():
         env={'SILENCE_FABRIC_CRASH_SHARD': '1'})
     same_bytes({name: read(path(f'{name}.json'))
                 for name in ('single', 'fab4', 'crash')})
+
+
+def fabric_exhaustion():
+    # Shard 1 dies on its only attempt: the supervisor gives up, and the
+    # bench must say which shard failed and exit 1 rather than abort.
+    err = run('fig10_detection', '--trials', '4', '--threads', '2', '--fabric', '2',
+              '--fabric-retries', '0', '--json', path('fab.json'),
+              env={'SILENCE_FABRIC_CRASH_SHARD': '1'}, code=1, stderr=True)
+    need(re.search(r'fabric: shard \S+:1/2:\S+ failed after 1 attempt', err),
+         'stderr does not name the failed shard')
+    need('terminate called' not in err, 'the exception escaped main')
+    need(not os.path.exists(path('fab.json')), 'a failed run wrote a result file')
 
 
 def onoff_pins():
@@ -546,7 +567,8 @@ def health_identity():
 
 
 CHECKS = {f.__name__: f for f in (
-    fig09_threads, net_threads, bench_net_identity, fabric_identity, onoff_pins,
+    fig09_threads, net_threads, bench_net_identity, fabric_identity, fabric_exhaustion,
+    onoff_pins,
     bench_net_gate, bench_compare_gate, perf_phy_loose_gate, bench_compare_report,
     mac_overhead, net_1024, net_obss_topology,
     fabric_telemetry, campaign_sweeps, campaign_telemetry,

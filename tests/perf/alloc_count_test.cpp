@@ -216,6 +216,52 @@ TEST(AllocCount, ReceiveAllocationsIndependentOfSymbolCount) {
       << "allocation count should be far below one per symbol";
 }
 
+TEST(AllocCount, WarmBuildFrameAllocatesOnlyItsOutputs) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts unreliable under sanitizers";
+  const Mcs& mcs = mcs_for_rate(36);
+  const Bytes small = test_psdu(5, 256);
+  const Bytes large = test_psdu(6, 1500);
+  // Warm the coding tables and the thread's workspace.
+  (void)build_frame(large, mcs);
+  // The frame's data bits, coded bits and grid: one allocation each,
+  // whatever the length.
+  EXPECT_EQ(allocations_during([&] { (void)build_frame(small, mcs); }), 3u);
+  EXPECT_EQ(allocations_during([&] { (void)build_frame(large, mcs); }), 3u);
+
+  // The EVM reference is the same frame, of which it keeps the grid.
+  DecodeResult decode;
+  decode.crc_ok = true;
+  decode.psdu = large;
+  decode.scrambler_seed = 0x5D;
+  (void)reconstruct_ideal_grid(decode, mcs);
+  EXPECT_EQ(
+      allocations_during([&] { (void)reconstruct_ideal_grid(decode, mcs); }),
+      3u);
+}
+
+TEST(AllocCount, WarmCosTransmitAllocationsIndependentOfSymbolCount) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts unreliable under sanitizers";
+  Rng rng(10);
+  CosTxConfig config;
+  config.mcs = McsId::for_rate(24);
+  const Bits control = rng.bits(48);
+  const Bytes small = test_psdu(7, 256);
+  const Bytes large = test_psdu(8, 1500);
+  PhyWorkspace ws;
+  const CosTxPacket warm = cos_transmit(large, control, config, ws);
+  (void)cos_transmit(small, control, config, ws);
+
+  const std::size_t n_small = allocations_during(
+      [&] { (void)cos_transmit(small, control, config, ws); });
+  const std::size_t n_large = allocations_during(
+      [&] { (void)cos_transmit(large, control, config, ws); });
+  // The frame and the burst are flat; the silence plan's mask is the one
+  // container with a row per symbol.
+  ASSERT_GE(n_large, n_small);
+  EXPECT_LE(n_large - n_small, warm.plan.mask.size())
+      << "CoS TX must not allocate beyond the per-symbol silence mask";
+}
+
 TEST(AllocCount, CosReceiveAllocationsIndependentOfSymbolCount) {
   if (kSanitized) GTEST_SKIP() << "allocation counts unreliable under sanitizers";
   Rng rng(9);
